@@ -564,27 +564,27 @@ impl<'a> Fingers<'a> {
     /// triples covering all bits. Iterating runs instead of bits is the
     /// cheap way to enumerate the table's ~log n *distinct* values.
     pub fn runs(&self) -> impl Iterator<Item = (usize, usize, Option<NodeId>)> + 'a {
-        let this = *self;
-        let n = if this.mask == 0 { 0 } else { this.vals.len() };
-        (0..n).map(move |run| {
-            let mut mask = this.mask;
-            for _ in 0..run {
-                mask &= mask - 1;
-            }
+        // `vals` holds one value per set mask bit (none when the mask is
+        // 0), so each step clears exactly the run start it consumed.
+        let bits = self.bits;
+        let mut mask = self.mask;
+        self.vals.iter().map(move |&raw| {
             let start = mask.trailing_zeros() as usize;
-            let rest = mask & (mask - 1);
-            let end = if rest == 0 {
-                this.bits
+            mask &= mask - 1;
+            let end = if mask == 0 {
+                bits
             } else {
-                rest.trailing_zeros() as usize
+                mask.trailing_zeros() as usize
             };
-            (start, end, decode(this.vals[run]).map(NodeId::from_index))
+            (start, end, decode(raw).map(NodeId::from_index))
         })
     }
 
     /// The distinct populated values, in run order.
     pub fn distinct(&self) -> impl Iterator<Item = NodeId> + 'a {
-        self.runs().filter_map(|(_, _, v)| v)
+        self.vals
+            .iter()
+            .filter_map(|&raw| decode(raw).map(NodeId::from_index))
     }
 
     /// All logical entries collected into the old owned representation.
@@ -670,6 +670,26 @@ mod tests {
             for (b, &want) in naive[i].iter().enumerate() {
                 assert_eq!(a.finger(i, b), want, "node {i} bit {b} step {step}");
             }
+            // The run views agree with the per-bit decode: maximal runs of
+            // equal entries, none at all for the canonical empty table.
+            let f = NodeRef::new(&a, i).fingers();
+            let mut want_runs: Vec<(usize, usize, Option<NodeId>)> = Vec::new();
+            for (b, v) in f.iter().enumerate() {
+                match want_runs.last_mut() {
+                    Some(run) if run.2 == v => run.1 = b + 1,
+                    _ => want_runs.push((b, b + 1, v)),
+                }
+            }
+            if f.iter().all(|v| v.is_none()) {
+                want_runs.clear();
+            }
+            assert_eq!(f.runs().collect::<Vec<_>>(), want_runs, "step {step}");
+            let want_distinct: Vec<NodeId> = want_runs.iter().filter_map(|r| r.2).collect();
+            assert_eq!(
+                f.distinct().collect::<Vec<_>>(),
+                want_distinct,
+                "step {step}"
+            );
         }
         // Relocation garbage stays bounded by compaction.
         assert!(a.finger_garbage * 2 <= a.finger_vals.len().max(4096));

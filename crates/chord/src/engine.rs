@@ -24,7 +24,12 @@
 //! One modeling artifact is deliberate: a request's lifecycle is
 //! attributed to its *origin*. `NextHop`/`Notify` answers return to the
 //! origin, which re-issues the next `FindSuccessor` in the same tick —
-//! iterative Chord, like the sync walk, not recursive routing.
+//! iterative Chord, like the sync walk, not recursive routing. A
+//! handler's final message that would be the loop's very next event
+//! (nothing else due by its arrival, inside the running window) is
+//! delivered to its handler at once instead of round-tripping the
+//! queue: every message still goes through its one handler, in the
+//! plain queue order; only the queue bookkeeping is skipped.
 //!
 //! [`find_successor_with_policy`]: ChordNetwork::find_successor_with_policy
 //! [`hop_step`]: ChordNetwork
@@ -232,7 +237,7 @@ impl LookupEngine {
         self.admit(net);
         while let Some((t, msg)) = self.queue.pop_due(deadline) {
             self.now = t;
-            self.process(net, faults, msg);
+            self.process(net, faults, msg, deadline);
         }
         self.now = self.now.max(deadline);
     }
@@ -242,7 +247,7 @@ impl LookupEngine {
         self.admit(net);
         while let Some((t, msg)) = self.queue.pop() {
             self.now = t;
-            self.process(net, faults, msg);
+            self.process(net, faults, msg, SimTime::from_ticks(u64::MAX));
         }
     }
 
@@ -407,25 +412,59 @@ impl LookupEngine {
         }
     }
 
-    fn process(&mut self, net: &ChordNetwork, faults: &crate::FaultPlan, msg: Message) {
-        match msg {
-            Message::FindSuccessor { req, gen, at, hops } => {
-                self.on_find(net, faults, req, gen, at, hops)
+    /// Hands `msg` to its handler at the current instant. The walk's
+    /// handlers return their final send, `(delay, message)`, instead of
+    /// queueing it. When that message would be the loop's very next pop
+    /// — it arrives by `horizon`, the last instant the running loop may
+    /// process, and nothing queued is due by then (a queued event due at
+    /// the same instant was scheduled first, so it would pop first) —
+    /// the clock moves to its arrival and it goes straight to its
+    /// handler. Otherwise it is queued. Either way the handlers run in
+    /// the plain `(time, seq)` queue order.
+    fn process(
+        &mut self,
+        net: &ChordNetwork,
+        faults: &crate::FaultPlan,
+        mut msg: Message,
+        horizon: SimTime,
+    ) {
+        loop {
+            let sent = match msg {
+                Message::FindSuccessor { req, gen, at, hops } => {
+                    self.on_find(net, faults, req, gen, at, hops)
+                }
+                Message::NextHop { req, gen, next } => self.on_next(net, req, gen, next),
+                Message::Notify {
+                    req,
+                    gen,
+                    owner,
+                    hops,
+                    captured,
+                } => {
+                    self.on_notify(net, req, gen, owner, hops, captured);
+                    None
+                }
+                Message::Timeout { req, gen } => {
+                    self.on_timeout(net, req, gen);
+                    None
+                }
+            };
+            let Some((delay, next)) = sent else {
+                return;
+            };
+            let at = self.now.saturating_add(delay);
+            if at > horizon || self.queue.peek_time().is_some_and(|t| t <= at) {
+                self.queue.schedule(at, next);
+                return;
             }
-            Message::NextHop { req, gen, next } => self.on_next(net, req, gen, next),
-            Message::Notify {
-                req,
-                gen,
-                owner,
-                hops,
-                captured,
-            } => self.on_notify(net, req, gen, owner, hops, captured),
-            Message::Timeout { req, gen } => self.on_timeout(net, req, gen),
+            self.now = at;
+            msg = next;
         }
     }
 
     /// A hop processes one step of the walk — the engine's only call
-    /// into the shared routing code.
+    /// into the shared routing code. Returns the reply to the origin
+    /// for [`process`](Self::process) to send, if the walk got that far.
     fn on_find(
         &mut self,
         net: &ChordNetwork,
@@ -434,12 +473,10 @@ impl LookupEngine {
         gen: u32,
         at: u32,
         hops: u32,
-    ) {
-        let Some(p) = self.pending.get_mut(&req) else {
-            return;
-        };
+    ) -> Option<(SimDuration, Message)> {
+        let p = self.pending.get_mut(&req)?;
         if p.generation != gen || p.resolved {
-            return; // stale: the attempt was retried out from under it
+            return None; // stale: the attempt was retried out from under it
         }
         let current = NodeId::from_index(at as usize);
         p.current = current;
@@ -454,7 +491,7 @@ impl LookupEngine {
                 max_hops: net.config().max_hops(),
             };
             self.attempt_failed(net, req, e);
-            return;
+            return None;
         }
 
         // The hop died while the request was in flight (churn the sync
@@ -465,29 +502,26 @@ impl LookupEngine {
             let d = net.config().latency().sample(&mut p.rng).ticks();
             p.cost.latency += d;
             let delay = self.wall_delay(current, d);
-            self.schedule_in(
-                delay,
-                Message::NextHop {
-                    req,
-                    gen,
-                    next: NO_NEXT,
-                },
-            );
-            return;
+            let reply = Message::NextHop {
+                req,
+                gen,
+                next: NO_NEXT,
+            };
+            return Some((delay, reply));
         }
 
         let before = p.cost.latency;
-        let target = p.target;
-        let ordinal = p.ordinal;
-        let mut cost = p.cost;
-        let mut skip = p.skip;
-        let mut trace = p.trace.take();
         let outcome = net.hop_step(
-            current, target, faults, hops, ordinal, &mut cost, &mut skip, &mut trace, &mut p.rng,
+            current,
+            p.target,
+            faults,
+            hops,
+            p.ordinal,
+            &mut p.cost,
+            &mut p.skip,
+            &mut p.trace,
+            &mut p.rng,
         );
-        p.cost = cost;
-        p.skip = skip;
-        p.trace = trace;
         let step_latency = p.cost.latency - before;
         let attempt_latency = p.cost.latency;
         let skip_total = p.skip;
@@ -496,7 +530,7 @@ impl LookupEngine {
             p.resolved = true;
         }
         let delay = self.wall_delay(current, step_latency);
-        match outcome {
+        let reply = match outcome {
             HopOutcome::Done(hit) => {
                 // Attempt resolved: close its spans and charge the
                 // policy bookkeeping now (sync order); the answer itself
@@ -515,67 +549,60 @@ impl LookupEngine {
                         .add(net.counters().lookup_fallback_depth, 1);
                 }
                 let captured = hit.point != net.node(hit.node).point();
-                self.schedule_in(
-                    delay,
-                    Message::Notify {
-                        req,
-                        gen,
-                        owner: u32::try_from(hit.node.index()).expect("arena indexes fit u32"),
-                        hops: hit.hops,
-                        captured,
-                    },
-                );
+                Message::Notify {
+                    req,
+                    gen,
+                    owner: u32::try_from(hit.node.index()).expect("arena indexes fit u32"),
+                    hops: hit.hops,
+                    captured,
+                }
             }
-            HopOutcome::Forward(next) => {
-                self.schedule_in(
-                    delay,
-                    Message::NextHop {
-                        req,
-                        gen,
-                        next: u32::try_from(next.index()).expect("arena indexes fit u32"),
-                    },
-                );
-            }
+            HopOutcome::Forward(next) => Message::NextHop {
+                req,
+                gen,
+                next: u32::try_from(next.index()).expect("arena indexes fit u32"),
+            },
             HopOutcome::Failed(e) => {
                 debug_assert_eq!(e, LookupError::SuccessorsAllDead);
                 // The failure still travels back to the origin before the
                 // policy reacts (its probes' latency is already charged).
-                self.schedule_in(
-                    delay,
-                    Message::NextHop {
-                        req,
-                        gen,
-                        next: NO_NEXT,
-                    },
-                );
+                Message::NextHop {
+                    req,
+                    gen,
+                    next: NO_NEXT,
+                }
             }
-        }
+        };
+        Some((delay, reply))
     }
 
     /// The origin hears back from a hop: either forward the walk one
     /// step (same tick — iterative routing charges nothing between
-    /// hops), or fail the attempt into the policy tiers.
-    fn on_next(&mut self, net: &ChordNetwork, req: u64, gen: u32, next: u32) {
-        let Some(p) = self.pending.get_mut(&req) else {
-            return;
-        };
+    /// hops) by returning the next `FindSuccessor` for
+    /// [`process`](Self::process) to send, or fail the attempt into the
+    /// policy tiers.
+    fn on_next(
+        &mut self,
+        net: &ChordNetwork,
+        req: u64,
+        gen: u32,
+        next: u32,
+    ) -> Option<(SimDuration, Message)> {
+        let p = self.pending.get_mut(&req)?;
         if p.generation != gen || p.resolved {
-            return;
+            return None;
         }
         if next == NO_NEXT {
             self.attempt_failed(net, req, LookupError::SuccessorsAllDead);
-            return;
+            return None;
         }
-        let hops = p.hops + 1;
-        self.schedule_in(
-            SimDuration::ZERO,
-            Message::FindSuccessor {
-                req,
-                gen,
-                at: next,
-                hops,
-            },
-        );
+        let find = Message::FindSuccessor {
+            req,
+            gen,
+            at: next,
+            hops: p.hops + 1,
+        };
+        Some((SimDuration::ZERO, find))
     }
 
     /// The terminal answer lands at the origin: exactly-once completion.
@@ -729,5 +756,89 @@ impl LookupEngine {
             result,
         });
         self.admit(net);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use keyspace::KeySpace;
+    use rand::Rng;
+
+    /// A traced ring with unrepaired crashes and adaptive scoring on, so
+    /// the order in which concurrent hops run shows in the trace digest
+    /// and in what later hops route around.
+    fn scored_ring(seed: u64) -> ChordNetwork {
+        let space = KeySpace::full();
+        let mut r = StdRng::seed_from_u64(seed);
+        let mut net = ChordNetwork::bootstrap(
+            space,
+            space.random_points(&mut r, 256),
+            crate::ChordConfig::default().with_latency(simnet::LatencyModel::Constant(10)),
+        );
+        net.enable_adaptive_routing(crate::AdaptiveConfig::default());
+        for _ in 0..64 {
+            let live = net.live_ids();
+            net.crash(live[r.gen_range(0..live.len())]);
+        }
+        net.metrics().recorder().set_tracing(true);
+        net
+    }
+
+    /// Submits `count` lookups `stagger` ticks apart and runs them to
+    /// completion, either in one-tick `run_until` windows or in windows
+    /// spanning each gap followed by a drain.
+    fn replay(count: u64, stagger: u64, one_tick: bool) -> (Vec<Completion>, u64) {
+        let net = scored_ring(4);
+        let faults = crate::FaultPlan::none();
+        let mut r = StdRng::seed_from_u64(9);
+        let mut engine = LookupEngine::new(EngineConfig::default());
+        let run_to = |engine: &mut LookupEngine, to: u64| {
+            let from = if one_tick { engine.now().ticks() } else { to };
+            for t in from..=to {
+                engine.run_until(&net, &faults, SimTime::from_ticks(t));
+                assert_eq!(
+                    engine.now(),
+                    SimTime::from_ticks(t),
+                    "clock ran past the window"
+                );
+            }
+        };
+        for k in 0..count {
+            let live = net.live_ids();
+            engine.submit(&net, live[r.gen_range(0..live.len())], Point::new(r.gen()));
+            run_to(&mut engine, k * stagger);
+        }
+        if one_tick {
+            while engine.in_flight() > 0 {
+                let next = engine.now().ticks() + 1;
+                run_to(&mut engine, next);
+            }
+        } else {
+            engine.drain(&net, &faults);
+        }
+        (
+            engine.completions().to_vec(),
+            net.metrics().recorder().trace_digest(),
+        )
+    }
+
+    #[test]
+    fn one_tick_windows_replay_direct_hand_offs_exactly() {
+        // Under one-tick `run_until` windows every reply that carries
+        // latency arrives after the deadline and is queued; only the
+        // origin's zero-delay re-issues can go straight on. Long windows
+        // hand every reply straight to its handler whenever it would pop
+        // next. Both must produce the same completions, in the same
+        // order, and the same trace digest — with lone walks (staggered
+        // submissions) and with the timestamp ties of lock-step walks
+        // (simultaneous submissions).
+        for stagger in [0, 1, 25, 400] {
+            assert_eq!(
+                replay(48, stagger, true),
+                replay(48, stagger, false),
+                "stagger {stagger}"
+            );
+        }
     }
 }

@@ -419,11 +419,73 @@ impl ChordNetwork {
     }
 
     /// The closest node preceding `target` among `at`'s fingers and
-    /// successor list, probing candidates from closest-preceding downward
-    /// and skipping dead ones (each probe costs a message). `skip`
-    /// accumulates latency burnt on probes of score-demoted candidates
-    /// that were dead anyway, for span attribution.
+    /// successor list (SIGCOMM Fig. 5's `closest_preceding_node`).
+    ///
+    /// One pass over the candidates finds the one
+    /// [`closest_preceding_ordered`](Self::closest_preceding_ordered)
+    /// would probe first: the in-range candidate with the largest
+    /// `(not penalized, distance from at)`, the last one winning ties as
+    /// the stable sorts there leave it. If it is alive — the common case
+    /// on a healthy ring — it costs exactly that walk's first probe and
+    /// is returned with no allocation or sort. Only a dead first pick (or
+    /// no candidate at all) runs the ordered walk, which re-derives the
+    /// same first probe, so every message, latency draw, score update
+    /// and counter is bit-identical either way.
     fn closest_preceding<R: Rng + ?Sized>(
+        &self,
+        at: NodeId,
+        target: Point,
+        cost: &mut Cost,
+        skip: &mut u64,
+        rng: &mut R,
+    ) -> Option<NodeId> {
+        let space = self.space();
+        let at_point = self.node(at).point();
+        // `(at, target)` is open; `at == target` denotes the whole ring
+        // minus `at` itself (see `between_open`).
+        let span = space.distance(at_point, target);
+        let first = {
+            let scores = self.scores().map(|s| s.borrow());
+            let node = self.node(at);
+            node.fingers()
+                .distinct()
+                .chain(node.successors().iter())
+                .filter(|&c| c != at)
+                .filter_map(|c| {
+                    let d = space.distance(at_point, self.node(c).point());
+                    let in_range = !d.is_zero() && (span.is_zero() || d < span);
+                    in_range.then(|| {
+                        let healthy = scores.as_ref().is_none_or(|s| !s.penalized(c));
+                        ((healthy, d), c)
+                    })
+                })
+                .max_by_key(|&(key, _)| key)
+                .map(|(_, c)| c)
+        };
+        match first {
+            Some(cand) if self.node(cand).is_alive() => {
+                cost.messages += 1;
+                cost.latency += self.config().latency().sample(rng).ticks();
+                if let Some(scores) = self.scores() {
+                    scores.borrow_mut().record(cand, true);
+                }
+                Some(cand)
+            }
+            _ => self.closest_preceding_ordered(at, target, cost, skip, rng),
+        }
+    }
+
+    /// The full ordered walk behind
+    /// [`closest_preceding`](Self::closest_preceding): collect every
+    /// in-range candidate, order it, and probe from closest-preceding
+    /// downward, skipping dead ones (each probe costs a message). `skip`
+    /// accumulates latency burnt on probes of score-demoted candidates
+    /// that were dead anyway, for span attribution. It is the next-hop
+    /// selection as it stood before the one-pass fast path, kept verbatim
+    /// as that path's fallback and as the reference its equivalence
+    /// property test compares against: optimizing it means first
+    /// freezing a copy under `#[cfg(test)]` for that test.
+    fn closest_preceding_ordered<R: Rng + ?Sized>(
         &self,
         at: NodeId,
         target: Point,
@@ -1130,9 +1192,9 @@ mod tests {
         // The profiler attributes the slow lookup to its actual causes:
         // backoff plus a fallback tier, not just the finger walk.
         let totals = net.metrics().recorder().profiler().totals();
-        assert!(totals["lookup;retry_backoff"].cost > 0, "{totals:?}");
+        assert!(totals["lookup;retry_backoff"] > 0, "{totals:?}");
         assert!(
-            totals["lookup;successor_walk"].cost > 0 || totals["lookup;verified_quorum"].cost > 0,
+            totals["lookup;successor_walk"] > 0 || totals["lookup;verified_quorum"] > 0,
             "{totals:?}"
         );
         let collapsed = net.metrics().recorder().profiler().collapsed();
@@ -1184,6 +1246,172 @@ mod tests {
         let untraced = run(false);
         assert!(!traced.is_empty());
         assert_eq!(traced, untraced);
+    }
+
+    /// A ring from `seed`, damaged the way a lookup meets it between
+    /// maintenance rounds: `crashes` random crashes without repair (dead
+    /// fingers and successor entries), then `joins` protocol joins
+    /// without stabilization (stale fingers). Same arguments, same ring.
+    fn damaged_ring(
+        n: usize,
+        seed: u64,
+        crashes: usize,
+        joins: usize,
+        adaptive: bool,
+        latency: simnet::LatencyModel,
+    ) -> ChordNetwork {
+        let space = KeySpace::full();
+        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut net = ChordNetwork::bootstrap(
+            space,
+            space.random_points(&mut r, n),
+            ChordConfig::default().with_latency(latency),
+        );
+        if adaptive {
+            net.enable_adaptive_routing(crate::AdaptiveConfig::default());
+        }
+        for _ in 0..crashes {
+            let live = net.live_ids();
+            net.crash(live[r.gen_range(0..live.len())]);
+        }
+        for _ in 0..joins {
+            let live = net.live_ids();
+            let via = live[r.gen_range(0..live.len())];
+            let point = space.random_point(&mut r);
+            let _ = net.join(point, via, &mut r);
+        }
+        net
+    }
+
+    /// Runs `queries` random `(at, target)` selections on twin rings,
+    /// the one-pass `closest_preceding` on `fast` and the ordered walk
+    /// on `reference`, and checks every observable side effect agrees.
+    /// Returns how many selections found a penalized candidate and how
+    /// many paid a dead probe (the ordered-walk fallback).
+    fn assert_selection_matches(
+        fast: &ChordNetwork,
+        reference: &ChordNetwork,
+        queries: usize,
+        seed: u64,
+    ) -> (usize, usize) {
+        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let dead_probes = |net: &ChordNetwork| {
+            net.metrics()
+                .recorder()
+                .counter_value(net.counters().lookup_dead_probe)
+        };
+        let (mut penalized_seen, mut fallbacks) = (0, 0);
+        let all = fast.node_ids();
+        for q in 0..queries {
+            let live = fast.live_ids();
+            let at = live[r.gen_range(0..live.len())];
+            // Mostly arbitrary targets, plus the interval edges: a node's
+            // own point (the open upper bound excludes it) and `at`'s
+            // point (the whole ring minus `at`).
+            let target = match r.gen_range(0..8u32) {
+                0 => fast.node(all[r.gen_range(0..all.len())]).point(),
+                1 => fast.node(at).point(),
+                _ => fast.space().random_point(&mut r),
+            };
+            let node = fast.node(at);
+            let candidates: Vec<NodeId> = node
+                .fingers()
+                .distinct()
+                .chain(node.successors().iter())
+                .collect();
+            if candidates.iter().any(|&c| fast.peer_penalized(c)) {
+                penalized_seen += 1;
+            }
+            let probe_seed = r.gen::<u64>();
+            let (mut fast_rng, mut ref_rng) = (
+                rand::rngs::StdRng::seed_from_u64(probe_seed),
+                rand::rngs::StdRng::seed_from_u64(probe_seed),
+            );
+            let (mut fast_cost, mut ref_cost) = (Cost::FREE, Cost::FREE);
+            let (mut fast_skip, mut ref_skip) = (0u64, 0u64);
+            let (fast_dead, ref_dead) = (dead_probes(fast), dead_probes(reference));
+            let got =
+                fast.closest_preceding(at, target, &mut fast_cost, &mut fast_skip, &mut fast_rng);
+            let want = reference.closest_preceding_ordered(
+                at,
+                target,
+                &mut ref_cost,
+                &mut ref_skip,
+                &mut ref_rng,
+            );
+            assert_eq!(got, want, "query {q}: next hop");
+            assert_eq!(fast_cost, ref_cost, "query {q}: cost");
+            assert_eq!(fast_skip, ref_skip, "query {q}: demoted skip");
+            let dead_delta = dead_probes(fast) - fast_dead;
+            assert_eq!(
+                dead_delta,
+                dead_probes(reference) - ref_dead,
+                "query {q}: dead probes"
+            );
+            assert_eq!(
+                fast_rng.gen::<u64>(),
+                ref_rng.gen::<u64>(),
+                "query {q}: latency draws"
+            );
+            assert_eq!(
+                fast.score_bytes(),
+                reference.score_bytes(),
+                "query {q}: score table"
+            );
+            for c in candidates {
+                assert_eq!(
+                    fast.peer_score(c),
+                    reference.peer_score(c),
+                    "query {q}: score of {c}"
+                );
+                assert_eq!(
+                    fast.peer_penalized(c),
+                    reference.peer_penalized(c),
+                    "query {q}: penalty of {c}"
+                );
+            }
+            if dead_delta > 0 {
+                fallbacks += 1;
+            }
+        }
+        (penalized_seen, fallbacks)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn one_pass_selection_matches_the_ordered_walk(
+            n in 24usize..=160,
+            seed in 0u64..1_000_000,
+            crash_pct in 0usize..=30,
+            join_pct in 0usize..=20,
+            adaptive in proptest::prelude::any::<bool>(),
+            sampled in proptest::prelude::any::<bool>(),
+        ) {
+            let latency = if sampled {
+                simnet::LatencyModel::Uniform { lo: 1, hi: 40 }
+            } else {
+                simnet::LatencyModel::UNIT
+            };
+            let (crashes, joins) = (n * crash_pct / 100, n * join_pct / 100);
+            let fast = damaged_ring(n, seed, crashes, joins, adaptive, latency);
+            let reference = damaged_ring(n, seed, crashes, joins, adaptive, latency);
+            assert_selection_matches(&fast, &reference, 64, seed ^ 0x005E_1EC7);
+        }
+    }
+
+    #[test]
+    fn selection_equivalence_reaches_penalties_and_dead_first_picks() {
+        // The property above is only as strong as the states it visits:
+        // pin that a crash-heavy adaptive ring exercises both the
+        // score-demoted ranking and the ordered-walk fallback.
+        let latency = simnet::LatencyModel::Uniform { lo: 1, hi: 40 };
+        let fast = damaged_ring(96, 9, 24, 8, true, latency);
+        let reference = damaged_ring(96, 9, 24, 8, true, latency);
+        let (penalized_seen, fallbacks) = assert_selection_matches(&fast, &reference, 400, 17);
+        assert!(penalized_seen > 0, "no selection met a penalized candidate");
+        assert!(fallbacks > 0, "no selection fell back to the ordered walk");
     }
 
     #[test]

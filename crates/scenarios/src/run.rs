@@ -1384,12 +1384,7 @@ fn run_chord(
             }
         }
     }
-    let span_costs: BTreeMap<String, u64> = recorder
-        .profiler()
-        .totals()
-        .into_iter()
-        .map(|(name, t)| (name, t.cost))
-        .collect();
+    let span_costs = recorder.profiler().totals();
     let record = SeedRunRecord {
         backend: Backend::Chord.name().to_string(),
         seed,

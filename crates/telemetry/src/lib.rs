@@ -65,7 +65,7 @@ mod recorder;
 mod timeseries;
 mod trace;
 
-pub use profiler::{SpanId, SpanProfiler, SpanTotal};
+pub use profiler::{SpanId, SpanProfiler};
 pub use recorder::{CounterId, HistogramId, Recorder, ScopeBreakdown, ScopeToken};
 pub use timeseries::{HealthEventRecord, TimeSeries, WindowSnapshot};
 pub use trace::{FallbackTier, HopRecord, LookupTrace, TraceDump, TraceOutcome};

@@ -21,23 +21,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 /// Fixed span-slot capacity. The taxonomy is a dozen phases; 32 leaves
-/// slack while keeping the always-allocated footprint at 512 B.
+/// slack while keeping the always-allocated footprint at 256 B.
 const SPAN_CAPACITY: usize = 32;
 
 /// Interned handle for a named span; obtained once from
 /// [`SpanProfiler::span`], then used for lock-free cost adds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(u32);
-
-/// One resolved span row: how many times the phase ran and its summed
-/// simulated cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanTotal {
-    /// Number of [`SpanProfiler::add`] calls attributed to the span.
-    pub count: u64,
-    /// Summed simulated cost (ticks or messages, caller-defined).
-    pub cost: u64,
-}
 
 /// Deterministic per-phase cost profiler (see the module docs).
 ///
@@ -57,7 +47,6 @@ pub struct SpanTotal {
 #[derive(Debug)]
 pub struct SpanProfiler {
     names: Mutex<Vec<&'static str>>,
-    counts: Box<[AtomicU64]>,
     costs: Box<[AtomicU64]>,
 }
 
@@ -66,7 +55,6 @@ impl SpanProfiler {
     pub fn new() -> SpanProfiler {
         SpanProfiler {
             names: Mutex::new(Vec::new()),
-            counts: (0..SPAN_CAPACITY).map(|_| AtomicU64::new(0)).collect(),
             costs: (0..SPAN_CAPACITY).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -92,31 +80,23 @@ impl SpanProfiler {
         SpanId((names.len() - 1) as u32)
     }
 
-    /// Attributes `cost` simulated units to a span (two relaxed atomic
-    /// adds; lock-free).
+    /// Attributes `cost` simulated units to a span (one relaxed atomic
+    /// add; lock-free).
     #[inline]
     pub fn add(&self, id: SpanId, cost: u64) {
-        self.counts[id.0 as usize].fetch_add(1, Ordering::Relaxed);
         self.costs[id.0 as usize].fetch_add(cost, Ordering::Relaxed);
     }
 
-    /// Every registered span with its count and summed cost, name-sorted.
-    /// Untouched spans are included (zero rows), so column sets are stable
-    /// across runs that exercise different phases.
-    pub fn totals(&self) -> BTreeMap<String, SpanTotal> {
+    /// Every registered span with its summed simulated cost (ticks or
+    /// messages, caller-defined), name-sorted. Untouched spans are
+    /// included (zero rows), so column sets are stable across runs that
+    /// exercise different phases.
+    pub fn totals(&self) -> BTreeMap<String, u64> {
         let names = self.names.lock();
         names
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                (
-                    (*n).to_owned(),
-                    SpanTotal {
-                        count: self.counts[i].load(Ordering::Relaxed),
-                        cost: self.costs[i].load(Ordering::Relaxed),
-                    },
-                )
-            })
+            .map(|(i, n)| ((*n).to_owned(), self.costs[i].load(Ordering::Relaxed)))
             .collect()
     }
 
@@ -126,8 +106,7 @@ impl SpanProfiler {
         let mut rows: Vec<(String, u64)> = self
             .totals()
             .into_iter()
-            .filter(|(_, t)| t.cost > 0)
-            .map(|(name, t)| (name, t.cost))
+            .filter(|&(_, cost)| cost > 0)
             .collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         rows.truncate(n);
@@ -139,27 +118,27 @@ impl SpanProfiler {
     /// flamegraph tooling.
     pub fn collapsed(&self) -> String {
         let mut out = String::new();
-        for (name, t) in self.totals() {
-            if t.cost > 0 {
+        for (name, cost) in self.totals() {
+            if cost > 0 {
                 out.push_str(&name);
                 out.push(' ');
-                out.push_str(&t.cost.to_string());
+                out.push_str(&cost.to_string());
                 out.push('\n');
             }
         }
         out
     }
 
-    /// Zeroes every span's count and cost; registrations stay valid.
+    /// Zeroes every span's cost; registrations stay valid.
     pub fn reset(&self) {
-        for slot in self.counts.iter().chain(self.costs.iter()) {
+        for slot in self.costs.iter() {
             slot.store(0, Ordering::Relaxed);
         }
     }
 
     /// Approximate resident bytes (slots plus interned name pointers).
     pub fn bytes(&self) -> usize {
-        SPAN_CAPACITY * 16 + self.names.lock().len() * 16
+        SPAN_CAPACITY * 8 + self.names.lock().len() * 16
     }
 }
 
@@ -182,8 +161,7 @@ mod tests {
         p.add(a, 3);
         p.add(b, 4);
         let totals = p.totals();
-        assert_eq!(totals["lookup;finger_walk"].count, 2);
-        assert_eq!(totals["lookup;finger_walk"].cost, 7);
+        assert_eq!(totals["lookup;finger_walk"], 7);
     }
 
     #[test]
@@ -226,7 +204,7 @@ mod tests {
         let s = p.span("x");
         p.add(s, 9);
         p.reset();
-        assert_eq!(p.totals()["x"], SpanTotal::default());
+        assert_eq!(p.totals()["x"], 0);
         assert_eq!(p.span("x"), s);
         assert!(p.bytes() > 0);
     }

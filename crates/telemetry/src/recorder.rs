@@ -64,6 +64,21 @@ impl HistSlot {
         })
     }
 
+    /// Folds `value` into the exact extrema. Between resets both only
+    /// ever move outward, so a relaxed load that already covers `value`
+    /// proves the current extremum does too; the read-modify-write runs
+    /// only when `value` extends the range, which in steady state is
+    /// almost never.
+    #[inline]
+    fn extend_range(&self, value: u64) {
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
     /// Offers `trace_id` as the exemplar for `value`'s bucket. Keep-first
     /// per bucket per window: the hot already-claimed path is one relaxed
     /// bitmap load, the claiming path takes the slot lock once.
@@ -291,8 +306,7 @@ impl Recorder {
     pub fn record(&self, id: HistogramId, value: u64) {
         let slot = &self.hist_slots[id.0 as usize];
         slot.buckets()[LogHistogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        slot.min.fetch_min(value, Ordering::Relaxed);
-        slot.max.fetch_max(value, Ordering::Relaxed);
+        slot.extend_range(value);
     }
 
     /// Records one observation and offers `trace_id` as its bucket's
@@ -307,8 +321,7 @@ impl Recorder {
         let slot = &self.hist_slots[id.0 as usize];
         let bucket = LogHistogram::bucket_index(value);
         slot.buckets()[bucket].fetch_add(1, Ordering::Relaxed);
-        slot.min.fetch_min(value, Ordering::Relaxed);
-        slot.max.fetch_max(value, Ordering::Relaxed);
+        slot.extend_range(value);
         slot.offer_exemplar(bucket, value, trace_id);
     }
 
