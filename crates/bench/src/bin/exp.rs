@@ -3,9 +3,15 @@
 //! ```text
 //! cargo run --release -p bench --bin exp -- all          # every experiment
 //! cargo run --release -p bench --bin exp -- e5 e6        # a subset
+//! cargo run --release -p bench --bin exp -- e16-engine   # one e16 battery
 //! cargo run --release -p bench --bin exp -- --md all     # markdown output
 //! RP_QUICK=1 cargo run -p bench --bin exp -- all         # fast smoke run
 //! RP_SEED=42 cargo run --release -p bench --bin exp -- e5  # different seed
+//! RP_SCALE=1000000 cargo run --release -p bench --bin exp -- e16-scale
+//!                      # the scale arms at 10^6 peers (default 10^5)
+//!
+//! Exit codes: 0 = every verdict holds, 1 = some verdict does not (every
+//! table still prints), 2 = unknown id, bad environment value or usage.
 //!
 //! cargo run --release -p bench --bin exp -- report base.json cand.json
 //!                      # diff two e16 reports / BENCH_* trajectories;
@@ -121,12 +127,18 @@ fn main() {
         run_dash(&ids[1..]);
     }
     if ids.is_empty() {
-        eprintln!("usage: exp [--md] <e1..e16 | all | report <base> <cand> | dash <report>>...");
-        eprintln!("experiments: {}", experiments::ALL.join(", "));
+        eprintln!("usage: exp [--md] <experiment | all | report <base> <cand> | dash <report>>...");
+        eprintln!(
+            "experiments: {}, e16-scale (runs only when named)",
+            experiments::ALL.join(", ")
+        );
         std::process::exit(2);
     }
 
-    let ctx = ExpContext::from_env();
+    let ctx = ExpContext::from_env().unwrap_or_else(|e| {
+        eprintln!("exp: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "# master seed {:#x}{}",
         ctx.seed,
@@ -139,7 +151,8 @@ fn main() {
         ids.iter().map(String::as_str).collect()
     };
 
-    let mut failed = false;
+    let mut unknown_id = false;
+    let mut printed = Vec::new();
     for id in selected {
         let started = std::time::Instant::now();
         match experiments::run(id, &ctx) {
@@ -150,16 +163,15 @@ fn main() {
                     } else {
                         println!("{}", table.render());
                     }
+                    printed.push(table);
                 }
                 eprintln!("# {id} finished in {:.1?}", started.elapsed());
             }
             None => {
                 eprintln!("unknown experiment id: {id}");
-                failed = true;
+                unknown_id = true;
             }
         }
     }
-    if failed {
-        std::process::exit(2);
-    }
+    std::process::exit(bench::exit_code(unknown_id, &printed));
 }

@@ -9,7 +9,8 @@
 //! Two accountings per size:
 //!
 //! * `msgs` — the implemented sampler (with the exact rejection
-//!   short-circuit, see DESIGN.md);
+//!   short-circuit, see "Deviations from the paper" in
+//!   `docs/ARCHITECTURE.md`);
 //! * `paper_msgs` — Figure 1 as literally written, where every rejected
 //!   trial walks the full `R = ⌈6 ln n′⌉` steps (reconstructed from
 //!   per-trial telemetry; same accept/reject outcomes).

@@ -5,8 +5,8 @@
 //! [`experiments`]); this library provides the plumbing: deterministic
 //! seed management, aligned/markdown table rendering, and JSON result
 //! records so tables can be diffed across runs. Environment knobs
-//! (`RP_QUICK`, `RP_SEED`, `RP_SCALE`, `RP_COALITION`,
-//! `RP_ENFORCE_BENCH`) are documented in the top-level README.
+//! (`RP_QUICK`, `RP_SEED`, `RP_SCALE`, `RP_TRACE`, `RP_ENFORCE_BENCH`)
+//! are documented in the top-level README.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +14,7 @@
 pub mod experiments;
 pub mod history;
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Master seed used by every experiment unless `RP_SEED` overrides it.
 pub const DEFAULT_MASTER_SEED: u64 = 0x5EED_C0FF_EE00_2004;
@@ -26,17 +26,67 @@ pub struct ExpContext {
     pub seed: u64,
     /// Quick mode shrinks sweeps for CI-speed smoke runs.
     pub quick: bool,
+    /// Ring size of the `e16-scale` arms; `None` runs the 10⁵ reference.
+    pub scale: Option<usize>,
 }
 
+/// An environment variable set to a value `exp` cannot use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable, e.g. `RP_SEED`.
+    pub var: &'static str,
+    /// The value it was set to.
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={:?} is not {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for EnvError {}
+
 impl ExpContext {
-    /// Context from the environment: `RP_SEED` (decimal) and `RP_QUICK=1`.
-    pub fn from_env() -> ExpContext {
-        let seed = std::env::var("RP_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_MASTER_SEED);
-        let quick = std::env::var("RP_QUICK").map(|v| v == "1").unwrap_or(false);
-        ExpContext { seed, quick }
+    /// Context from the environment: `RP_SEED` (a decimal u64),
+    /// `RP_QUICK` (`0` or `1`) and `RP_SCALE` (a ring size ≥ 20). An unset
+    /// variable takes its default; a set one that does not parse is an
+    /// error, never a silent default.
+    pub fn from_env() -> Result<ExpContext, EnvError> {
+        ExpContext::from_vars(|var| {
+            std::env::var_os(var).map(|value| value.to_string_lossy().into_owned())
+        })
+    }
+
+    /// [`ExpContext::from_env`] over any variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<ExpContext, EnvError> {
+        let invalid = |name: &'static str, value: String, expected: &'static str| EnvError {
+            var: name,
+            value,
+            expected,
+        };
+        let seed = match var("RP_SEED") {
+            None => DEFAULT_MASTER_SEED,
+            Some(v) => v
+                .parse()
+                .map_err(|_| invalid("RP_SEED", v, "a decimal u64"))?,
+        };
+        let quick = match var("RP_QUICK") {
+            None => false,
+            Some(v) if v == "0" => false,
+            Some(v) if v == "1" => true,
+            Some(v) => return Err(invalid("RP_QUICK", v, "0 or 1")),
+        };
+        let scale = match var("RP_SCALE") {
+            None => None,
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n >= 20 => Some(n),
+                _ => return Err(invalid("RP_SCALE", v, "a ring size >= 20")),
+            },
+        };
+        Ok(ExpContext { seed, quick, scale })
     }
 
     /// Derives the seed for a named experiment stream.
@@ -50,6 +100,7 @@ impl Default for ExpContext {
         ExpContext {
             seed: DEFAULT_MASTER_SEED,
             quick: false,
+            scale: None,
         }
     }
 }
@@ -141,7 +192,7 @@ impl Table {
         out
     }
 
-    /// Renders as a GitHub-flavoured markdown table (for EXPERIMENTS.md).
+    /// Renders as a GitHub-flavoured markdown table (`exp --md`).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "### {}\n", self.title);
@@ -163,6 +214,19 @@ impl Table {
             let _ = writeln!(out, "\n*Verdict:* {}", self.verdict);
         }
         out
+    }
+}
+
+/// `exp`'s exit code: 2 when an experiment id was unknown, else 1 when
+/// any printed table's verdict does not start with `HOLDS` (a `CHECK`,
+/// `VIOLATED` or `PARTIAL`), else 0.
+pub fn exit_code(unknown_id: bool, tables: &[Table]) -> i32 {
+    if unknown_id {
+        2
+    } else if tables.iter().all(|t| t.verdict.starts_with("HOLDS")) {
+        0
+    } else {
+        1
     }
 }
 
@@ -211,6 +275,82 @@ mod tests {
         assert_ne!(ctx.stream(1, 0), ctx.stream(1, 1));
         assert_ne!(ctx.stream(1, 0), ctx.stream(2, 0));
         assert_eq!(ctx.stream(3, 4), ctx.stream(3, 4));
+    }
+
+    #[test]
+    fn context_parses_set_variables_and_defaults_unset_ones() {
+        let unset = ExpContext::from_vars(|_| None).unwrap();
+        assert_eq!(unset, ExpContext::default());
+        let vars = |var: &str| {
+            match var {
+                "RP_SEED" => Some("42"),
+                "RP_QUICK" => Some("1"),
+                "RP_SCALE" => Some("1000000"),
+                _ => None,
+            }
+            .map(String::from)
+        };
+        let ctx = ExpContext::from_vars(vars).unwrap();
+        assert_eq!(
+            ctx,
+            ExpContext {
+                seed: 42,
+                quick: true,
+                scale: Some(1_000_000),
+            }
+        );
+        let full = ExpContext::from_vars(|var| (var == "RP_QUICK").then(|| "0".to_string()));
+        assert!(!full.unwrap().quick);
+    }
+
+    #[test]
+    fn context_rejects_bad_values_naming_variable_and_value() {
+        for (var, value) in [
+            ("RP_SEED", "0x2a"),
+            ("RP_SEED", "-1"),
+            ("RP_SEED", ""),
+            ("RP_QUICK", "true"),
+            ("RP_QUICK", "2"),
+            ("RP_QUICK", ""),
+            ("RP_SCALE", "1e6"),
+            ("RP_SCALE", "19"),
+            ("RP_SCALE", "-5"),
+        ] {
+            let err = ExpContext::from_vars(|v| (v == var).then(|| value.to_string())).unwrap_err();
+            assert_eq!((err.var, err.value.as_str()), (var, value));
+            let message = err.to_string();
+            assert!(
+                message.starts_with(&format!("{var}={value:?} is not ")),
+                "{message}"
+            );
+        }
+        // The smallest usable ring size parses.
+        let ctx = ExpContext::from_vars(|v| (v == "RP_SCALE").then(|| "20".to_string()));
+        assert_eq!(ctx.unwrap().scale, Some(20));
+    }
+
+    #[test]
+    fn exit_code_fails_on_any_verdict_but_holds() {
+        let table = |verdict: &str| {
+            let mut t = Table::new("t", "c", &["a"]);
+            t.set_verdict(verdict);
+            t
+        };
+        let holds = [table("HOLDS: fine"), table("HOLDS EXACTLY: zero deviation")];
+        assert_eq!(exit_code(false, &holds), 0);
+        assert_eq!(exit_code(false, &[]), 0);
+        for bad in [
+            "CHECK: flagged",
+            "VIOLATED: bound",
+            "PARTIAL: some rings",
+            "",
+        ] {
+            let tables = [table("HOLDS: fine"), table(bad)];
+            assert_eq!(exit_code(false, &tables), 1, "{bad:?}");
+        }
+        // An unknown id is a usage error, whatever the verdicts say.
+        assert_eq!(exit_code(true, &holds), 2);
+        assert_eq!(exit_code(true, &[table("CHECK: flagged")]), 2);
     }
 
     #[test]

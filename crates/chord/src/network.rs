@@ -369,14 +369,7 @@ impl ChordNetwork {
     /// bit), so the whole rebuild does O(log n) binary searches per node
     /// rather than one per finger bit — the difference between seconds
     /// and minutes at n = 10⁶.
-    pub fn bulk_join(&mut self, points: Vec<Point>) -> Vec<NodeId> {
-        let scope = self.metrics.recorder().begin_scope();
-        let created = self.bulk_join_inner(points);
-        self.metrics.recorder().end_scope("bulk_join", scope);
-        created
-    }
-
-    fn bulk_join_inner(&mut self, mut points: Vec<Point>) -> Vec<NodeId> {
+    pub fn bulk_join(&mut self, mut points: Vec<Point>) -> Vec<NodeId> {
         points.sort_unstable();
         points.dedup();
         let mut created = Vec::with_capacity(points.len());
@@ -1420,7 +1413,6 @@ impl ChordNetwork {
         budget: MaintenanceBudget,
         rng: &mut R,
     ) -> MaintenanceWork {
-        let scope = self.metrics.recorder().begin_scope();
         let mut work = MaintenanceWork::default();
         let mut remaining = budget.limit();
         let snapshot = self.dirty.queue_len();
@@ -1478,9 +1470,6 @@ impl ChordNetwork {
                 .profiler()
                 .add(self.counters.span_maintenance_repair, repairs);
         }
-        self.metrics
-            .recorder()
-            .end_scope("maintenance.round", scope);
         work
     }
 

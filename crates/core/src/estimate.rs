@@ -65,11 +65,11 @@ impl fmt::Display for Estimate {
 ///    Lemma 2, `t` concentrates around `s/n`, giving a constant-factor
 ///    approximation (Lemma 3: within `(2/7 − ε, 6 + ε)`).
 ///
-/// **Deviation from the paper (documented in DESIGN.md):** on small rings
-/// the walk length `s` can exceed `n`; the paper implicitly assumes
-/// `s ≪ n`. We detect the walk returning to its origin, in which case the
-/// count is *exact* — strictly more accurate at no extra cost, and
-/// asymptotically irrelevant.
+/// **Deviation from the paper** (`docs/ARCHITECTURE.md`, "Deviations from
+/// the paper"): on small rings the walk length `s` can exceed `n`; the
+/// paper implicitly assumes `s ≪ n`. We detect the walk returning to its
+/// origin, in which case the count is *exact* — strictly more accurate at
+/// no extra cost, and asymptotically irrelevant.
 ///
 /// # Example
 ///

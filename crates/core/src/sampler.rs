@@ -144,13 +144,14 @@ impl<P: Copy> TrialOutcome<P> {
 /// the chosen peer is exactly uniform. All arithmetic is `i128`-exact; see
 /// [`assignment`](crate::assignment) for the exhaustive verification.
 ///
-/// **Deviation from the paper (documented in DESIGN.md):** Figure 1 accepts
-/// on `T ≤ 0` inside the loop but `T < 0` at step 2. On the continuous
-/// circle the `T = 0` boundary has measure zero, so the mixed convention is
-/// immaterial; on a discrete ring the boundary is a real point and the
-/// mixed convention hands every "needy" peer `λ + 1` points. We use strict
-/// `T < 0` uniformly, which is the unique convention under which every
-/// peer's measure is exactly `λ` — the discrete Theorem 6.
+/// **Deviation from the paper** (`docs/ARCHITECTURE.md`, "Deviations from
+/// the paper"): Figure 1 accepts on `T ≤ 0` inside the loop but `T < 0`
+/// at step 2. On the continuous circle the `T = 0` boundary has measure
+/// zero, so the mixed convention is immaterial; on a discrete ring the
+/// boundary is a real point and the mixed convention hands every "needy"
+/// peer `λ + 1` points. We use strict `T < 0` uniformly, which is the
+/// unique convention under which every peer's measure is exactly `λ` — the
+/// discrete Theorem 6.
 ///
 /// # Example
 ///
@@ -263,12 +264,12 @@ impl Sampler {
         // Step 3: walk successors, accumulating T; accept on T < 0 (strict,
         // see the type-level docs on the discrete boundary convention).
         //
-        // Exact short-circuit (behaviour-preserving; DESIGN.md): each step
-        // lowers T by at most λ (arcs are non-negative), so once
-        // T ≥ remaining·λ the trial cannot accept and is rejected
-        // immediately. This leaves the accept/reject map bit-identical to
-        // Figure 1 while cutting the expected cost of rejected trials from
-        // Θ(log n) next-steps to O(1).
+        // Exact short-circuit (behaviour-preserving; see "Deviations from
+        // the paper" in docs/ARCHITECTURE.md): each step lowers T by at
+        // most λ (arcs are non-negative), so once T ≥ remaining·λ the trial
+        // cannot accept and is rejected immediately. This leaves the
+        // accept/reject map bit-identical to Figure 1 while cutting the
+        // expected cost of rejected trials from Θ(log n) next-steps to O(1).
         let bound = self.config.step_bound();
         if t >= bound as i128 * lambda {
             return Ok(TrialOutcome::Rejected { steps: 0, cost });

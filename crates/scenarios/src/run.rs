@@ -1285,10 +1285,6 @@ fn run_chord(
                 .profiler()
                 .span("draw;defended_verify");
             for _ in 0..spec.workload.draws {
-                // Each defended draw is a labelled cost scope, so the
-                // report's breakdown attributes quorum redundancy to the
-                // draws that paid it rather than to the run as a whole.
-                let scope = net.metrics().recorder().begin_scope();
                 // Tracked sampling: quorum failures on *exhausted* draws
                 // (the fully-blocked case) still reach the counter.
                 match sampler.sample_tracked(&view_refs, &mut draw_rng, &mut quorum_failures) {
@@ -1311,7 +1307,6 @@ fn run_chord(
                     }
                     Err(_) => tally.failed += 1,
                 }
-                net.metrics().recorder().end_scope("draw.defended", scope);
                 draws_in_window += 1;
                 if draws_in_window == draw_window {
                     close_draw_window(&mut watchdog, net, &mut window_base, &counts, None, false);

@@ -14,9 +14,6 @@
 //!   record its full hop path (node, finger level, forged/honest, per-hop
 //!   latency) into a bounded ring buffer, gated by a single relaxed
 //!   atomic-bool check when disabled.
-//! * [`ScopeToken`] cost attribution — label a region (a defended draw, a
-//!   maintenance drain round, a `bulk_join`) and get the counter deltas it
-//!   caused, instead of one global counter soup.
 //! * [`WindowSnapshot`] / [`TimeSeries`] — longitudinal view: closing an
 //!   observation window ([`Recorder::reset_window`]) yields per-window
 //!   counter *deltas* (computed per slot, so zero-skipping snapshots can
@@ -36,9 +33,10 @@
 //!   bucket per window ([`stats::Exemplar`]), so a p99/p999 figure links
 //!   to a concrete replayable [`LookupTrace`] (matched via
 //!   `LookupTrace::ordinal`).
-//! * [`SpanProfiler`] — deterministic per-phase cost attribution
-//!   (finger walk vs retry/backoff vs successor-walk vs quorum vs
-//!   maintenance repair) with collapsed-stack flamegraph export.
+//! * [`SpanProfiler`] — the one cost-attribution mechanism: deterministic
+//!   per-phase cost (finger walk vs retry/backoff vs successor-walk vs
+//!   quorum vs maintenance repair vs defended-draw verification) with
+//!   collapsed-stack flamegraph export.
 //!
 //! # Example
 //!
@@ -48,13 +46,13 @@
 //! let r = Recorder::new();
 //! let hops = r.counter("lookup.hops");
 //! let hist = r.histogram("lookup.hops");
-//! let scope = r.begin_scope();
+//! let walk = r.profiler().span("lookup;finger_walk");
 //! r.add(hops, 3);
 //! r.record(hist, 3);
-//! r.end_scope("draw", scope);
+//! r.profiler().add(walk, 3);
 //! assert_eq!(r.counter_value(hops), 3);
 //! assert_eq!(r.histogram_snapshot(hist).max(), 3);
-//! assert_eq!(r.scope_breakdown()["draw"].counters["lookup.hops"], 3);
+//! assert_eq!(r.profiler().totals()["lookup;finger_walk"], 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,6 +64,6 @@ mod timeseries;
 mod trace;
 
 pub use profiler::{SpanId, SpanProfiler};
-pub use recorder::{CounterId, HistogramId, Recorder, ScopeBreakdown, ScopeToken};
+pub use recorder::{CounterId, HistogramId, Recorder};
 pub use timeseries::{HealthEventRecord, TimeSeries, WindowSnapshot};
 pub use trace::{FallbackTier, HopRecord, LookupTrace, TraceDump, TraceOutcome};

@@ -137,38 +137,9 @@ struct WindowState {
     hist_base: Vec<Vec<u64>>,
 }
 
-/// Per-label cost accumulator: how many scopes completed under the label
-/// and the summed counter deltas they caused (indexed by counter slot).
-#[derive(Debug, Default)]
-struct ScopeAccum {
-    ops: u64,
-    deltas: Vec<u64>,
-}
-
-/// Snapshot of counter values taken at [`Recorder::begin_scope`]; hand it
-/// back to [`Recorder::end_scope`] to attribute the deltas to a label.
-///
-/// Scopes assume the single-threaded simulation loop: two scopes running
-/// concurrently over the same recorder would both claim the same deltas.
-#[derive(Debug)]
-#[must_use = "pass the token to end_scope to record the attribution"]
-pub struct ScopeToken {
-    start: Vec<u64>,
-}
-
-/// Resolved per-label cost breakdown returned by
-/// [`Recorder::scope_breakdown`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScopeBreakdown {
-    /// Number of completed scopes under this label.
-    pub ops: u64,
-    /// Summed counter deltas attributed to the label (zero deltas omitted).
-    pub counters: BTreeMap<String, u64>,
-}
-
 /// Interned-handle metrics recorder: atomic counters, log-bucketed
-/// histograms, a bounded lookup-trace flight recorder, and cost
-/// attribution scopes. See the crate docs for the architecture.
+/// histograms, a bounded lookup-trace flight recorder, and the span
+/// profiler. See the crate docs for the architecture.
 ///
 /// Counter and histogram updates are relaxed atomic operations on
 /// preallocated slots — safe for concurrent use and near-free on the
@@ -182,7 +153,6 @@ pub struct Recorder {
     hist_names: Mutex<Vec<String>>,
     tracing: AtomicBool,
     flight: Mutex<FlightRecorder>,
-    scopes: Mutex<BTreeMap<&'static str, ScopeAccum>>,
     window: Mutex<WindowState>,
     health: Mutex<Vec<HealthEventRecord>>,
     op_seq: AtomicU64,
@@ -200,7 +170,6 @@ impl Recorder {
             hist_names: Mutex::new(Vec::new()),
             tracing: AtomicBool::new(false),
             flight: Mutex::new(FlightRecorder::new(64)),
-            scopes: Mutex::new(BTreeMap::new()),
             window: Mutex::new(WindowState::default()),
             health: Mutex::new(Vec::new()),
             op_seq: AtomicU64::new(0),
@@ -379,8 +348,7 @@ impl Recorder {
     /// (legacy `Metrics` behaviour). Subtracting such maps drops any
     /// counter that was nonzero in a previous window but untouched in
     /// this one — its key is simply absent on one side. Window deltas are
-    /// therefore computed per counter *slot* against per-slot base values
-    /// (the same all-slots-by-index walk [`Recorder::end_scope`] uses),
+    /// therefore computed per counter *slot* against per-slot base values,
     /// and the returned [`WindowSnapshot::counters`] map includes zero
     /// deltas for every registered counter.
     ///
@@ -502,66 +470,10 @@ impl Recorder {
         self.flight.lock().digest()
     }
 
-    // ---- cost attribution scopes ----
-
-    /// Starts an attribution scope by snapshotting current counter values.
-    pub fn begin_scope(&self) -> ScopeToken {
-        let registered = self.counter_names.lock().len();
-        ScopeToken {
-            start: self.counters[..registered]
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// Ends an attribution scope, folding the counter deltas since
-    /// [`Recorder::begin_scope`] into the accumulator for `label`.
-    pub fn end_scope(&self, label: &'static str, token: ScopeToken) {
-        let registered = self.counter_names.lock().len();
-        let mut scopes = self.scopes.lock();
-        let accum = scopes.entry(label).or_default();
-        accum.ops += 1;
-        if accum.deltas.len() < registered {
-            accum.deltas.resize(registered, 0);
-        }
-        for (i, delta) in accum.deltas.iter_mut().enumerate().take(registered) {
-            let now = self.counters[i].load(Ordering::Relaxed);
-            // Counters registered mid-scope started at zero.
-            let start = token.start.get(i).copied().unwrap_or(0);
-            *delta += now.saturating_sub(start);
-        }
-    }
-
-    /// Per-label cost breakdowns, labels and counter names sorted.
-    pub fn scope_breakdown(&self) -> BTreeMap<String, ScopeBreakdown> {
-        let names = self.counter_names.lock();
-        self.scopes
-            .lock()
-            .iter()
-            .map(|(label, accum)| {
-                let counters = accum
-                    .deltas
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d > 0)
-                    .map(|(i, &d)| (names[i].clone(), d))
-                    .collect();
-                (
-                    (*label).to_owned(),
-                    ScopeBreakdown {
-                        ops: accum.ops,
-                        counters,
-                    },
-                )
-            })
-            .collect()
-    }
-
     // ---- lifecycle / accounting ----
 
-    /// Zeroes every counter and histogram and clears traces, scopes, the
-    /// trace digest, and the window boundary (the next
+    /// Zeroes every counter and histogram and clears traces, the trace
+    /// digest, and the window boundary (the next
     /// [`Recorder::reset_window`] is window 0 again). Registered names
     /// and handles stay valid.
     pub fn reset(&self) {
@@ -573,7 +485,6 @@ impl Recorder {
         }
         let cap = self.flight.lock().capacity();
         *self.flight.lock() = FlightRecorder::new(cap);
-        self.scopes.lock().clear();
         *self.window.lock() = WindowState::default();
         self.health.lock().clear();
         self.op_seq.store(0, Ordering::Relaxed);
@@ -755,25 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn scopes_attribute_counter_deltas() {
-        let r = Recorder::new();
-        let msgs = r.counter("msgs");
-        r.add(msgs, 100); // outside any scope
-        let t = r.begin_scope();
-        r.add(msgs, 7);
-        r.end_scope("draw", t);
-        let t = r.begin_scope();
-        r.add(msgs, 5);
-        let late = r.counter("late");
-        r.add(late, 2);
-        r.end_scope("draw", t);
-        let breakdown = r.scope_breakdown();
-        assert_eq!(breakdown["draw"].ops, 2);
-        assert_eq!(breakdown["draw"].counters["msgs"], 12);
-        assert_eq!(breakdown["draw"].counters["late"], 2);
-    }
-
-    #[test]
     fn reset_preserves_registrations() {
         let r = Recorder::new();
         let c = r.counter("c");
@@ -782,14 +674,11 @@ mod tests {
         r.record(h, 9);
         r.set_tracing(true);
         r.push_trace(tiny_trace(0));
-        let t = r.begin_scope();
-        r.end_scope("s", t);
         r.reset();
         assert_eq!(r.counter_value(c), 0);
         assert!(r.histogram_snapshot(h).is_empty());
         assert!(r.traces().is_empty());
         assert_eq!(r.trace_digest(), FlightRecorder::new(1).digest());
-        assert!(r.scope_breakdown().is_empty());
         assert_eq!(r.counter("c"), c, "registration survives reset");
     }
 
