@@ -278,31 +278,50 @@ fn emit_json_point() -> bool {
     // the median of paired back-to-back rounds: on a shared single-core
     // runner, clock-frequency drift between two long measurements easily
     // fakes a 2x "regression", so each round times both sides under the
-    // same conditions and the median discards the outlier rounds.
-    let rounds = 9u64;
+    // same conditions and the median discards the outlier rounds. Both
+    // sides of a round walk the same targets in the same order (each
+    // round continues where the last one stopped), and the side that runs
+    // first alternates, so neither side gets a smaller, warmer target set
+    // or the other's cache warm-up.
+    let rounds = 27u64;
     let mut sync_rounds = Vec::new();
     let mut engine_rounds = Vec::new();
     let mut ratios = Vec::new();
     for round in 0..rounds {
-        let sync_ns = measure(2_500, || {
-            t = (t + 1) % targets.len();
-            net.find_successor_with_policy(origin, targets[t], &FaultPlan::none(), &mut rng)
-        });
-        let mut engine = LookupEngine::new(EngineConfig {
-            seed: round,
-            ..EngineConfig::default()
-        });
-        let mut e = 0usize;
-        let engine_ns = measure(2_500, || {
-            e = (e + 1) % targets.len();
-            engine.submit(&net, origin, targets[e]);
-            engine.drain(&net, &FaultPlan::none());
-        });
-        assert_eq!(
-            engine.completions().len(),
-            2_500,
-            "engine must complete the whole round"
-        );
+        let first = t;
+        let mut sync_side = || {
+            let mut i = first;
+            measure(2_500, || {
+                i = (i + 1) % targets.len();
+                net.find_successor_with_policy(origin, targets[i], &FaultPlan::none(), &mut rng)
+            })
+        };
+        let engine_side = || {
+            let mut engine = LookupEngine::new(EngineConfig {
+                seed: round,
+                ..EngineConfig::default()
+            });
+            let mut i = first;
+            let engine_ns = measure(2_500, || {
+                i = (i + 1) % targets.len();
+                engine.submit(&net, origin, targets[i]);
+                engine.drain(&net, &FaultPlan::none());
+            });
+            assert_eq!(
+                engine.completions().len(),
+                2_500,
+                "engine must complete the whole round"
+            );
+            engine_ns
+        };
+        let (sync_ns, engine_ns) = if round % 2 == 0 {
+            let sync_ns = sync_side();
+            (sync_ns, engine_side())
+        } else {
+            let engine_ns = engine_side();
+            (sync_side(), engine_ns)
+        };
+        t = (first + 2_500) % targets.len();
         sync_rounds.push(sync_ns);
         engine_rounds.push(engine_ns);
         ratios.push(engine_ns / sync_ns.max(1e-9));
