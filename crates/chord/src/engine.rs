@@ -1,7 +1,7 @@
 //! Async message-passing lookup engine: in-flight lookups through simnet.
 //!
 //! The sync walk ([`find_successor_with_policy`]) resolves a lookup in
-//! one call; this engine decomposes the *same* protocol into serialized
+//! one call; this engine decomposes the *same* protocol into
 //! [`Message`]s driven through a [`simnet::EventQueue`], so delay-based
 //! faults become expressible: per-hop [`simnet::LatencyModel`] delays stretch
 //! into simulated wall-clock, a [`SlowOverlay`] can make a ring sector
@@ -10,12 +10,16 @@
 //! multiplex over one deterministic event loop.
 //!
 //! Equivalence is the design invariant, pinned by
-//! `tests/engine_equivalence.rs`: every routing decision and every
-//! recorder side effect goes through the exact code the sync walk uses
-//! ([`hop_step`] per delivered `FindSuccessor`, [`fallback_resolve`] when
-//! attempts are exhausted), so a sequentially-driven engine with
-//! deadlines disarmed is **bit-identical** to the sync walk — same
-//! owners, same hops, same costs, same ordinals, same trace digest.
+//! `tests/engine_equivalence.rs`. Both drivers run one attempt loop: each
+//! request carries the sync walk's per-attempt state, and the shared
+//! [`open_attempt`], [`step_attempt`] (one per delivered
+//! `FindSuccessor`) and [`close_attempt`] own every charge an attempt
+//! makes — backoff, ordinal, trace, hops, spans, retries and the fallback
+//! tiers. The engine adds only event plumbing: the queue, attempt
+//! generations, deadlines, the slow overlay, hops that die in flight and
+//! the backlog. So a sequentially-driven engine with deadlines disarmed
+//! is **bit-identical** to the sync walk — same owners, same hops, same
+//! costs, same ordinals, same trace digest.
 //! Concurrency then changes *interleaving* only: requests draw latency
 //! from per-request RNG streams and routing consumes randomness nowhere
 //! else, which is what makes 10k interleaved lookups replay
@@ -32,19 +36,20 @@
 //! plain queue order; only the queue bookkeeping is skipped.
 //!
 //! [`find_successor_with_policy`]: ChordNetwork::find_successor_with_policy
-//! [`hop_step`]: ChordNetwork
-//! [`fallback_resolve`]: ChordNetwork
+//! [`open_attempt`]: ChordNetwork
+//! [`step_attempt`]: ChordNetwork
+//! [`close_attempt`]: ChordNetwork
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::ControlFlow;
 
 use keyspace::Point;
-use peer_sampling::Cost;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{EventQueue, SimDuration, SimTime};
 use telemetry::TraceOutcome;
 
-use crate::lookup::{HopOutcome, TraceBuilder};
+use crate::lookup::{Attempt, HopOutcome};
 use crate::msg::{Message, NO_NEXT};
 use crate::network::{ChordNetwork, NodeId};
 use crate::{LookupError, LookupResult};
@@ -117,13 +122,11 @@ pub struct Completion {
 
 /// Per-request in-flight state (the request table).
 struct Pending {
-    from: NodeId,
-    target: Point,
     /// Private latency stream — `derive_seed(engine seed, tag)` — so a
     /// request's draws are independent of interleaving.
     rng: StdRng,
-    /// 1-based attempt counter.
-    attempt: u8,
+    /// The lookup's attempt accounting, shared with the sync walk.
+    attempt: Attempt,
     /// Attempt generation: bumped on every retry, which strands every
     /// message (and deadline) the preempted attempt still has in flight.
     generation: u32,
@@ -131,17 +134,6 @@ struct Pending {
     /// longer preempt (the answer is already on the wire), making
     /// completion exactly-once.
     resolved: bool,
-    /// Cost folded in from failed/preempted attempts plus backoff.
-    spent: Cost,
-    /// Running cost of the current attempt.
-    cost: Cost,
-    /// Demoted-probe latency of the current attempt (span attribution).
-    skip: u64,
-    /// Hops taken by the current attempt.
-    hops: u32,
-    /// Op ordinal of the current attempt (exemplar / trace id).
-    ordinal: u64,
-    trace: Option<TraceBuilder>,
     submitted_at: SimTime,
     started_at: SimTime,
     /// Node whose answer the origin is currently waiting on — the peer a
@@ -326,18 +318,10 @@ impl LookupEngine {
     fn start_request(&mut self, net: &ChordNetwork, tag: u64, from: NodeId, target: Point) {
         let rng = StdRng::seed_from_u64(simnet::rng::derive_seed(self.config.seed, tag));
         let p = Pending {
-            from,
-            target,
             rng,
-            attempt: 1,
+            attempt: Attempt::new(from, target),
             generation: 0,
             resolved: false,
-            spent: Cost::FREE,
-            cost: Cost::FREE,
-            skip: 0,
-            hops: 0,
-            ordinal: 0,
-            trace: None,
             submitted_at: self.now,
             started_at: self.now,
             current: from,
@@ -347,56 +331,26 @@ impl LookupEngine {
         self.start_attempt(net, tag);
     }
 
-    /// Begins the current attempt of `tag`: the sync walk's per-attempt
-    /// preamble (backoff charge on retries, then the `route_attempt`
-    /// entry sequence — liveness check, ordinal draw, trace allocation)
-    /// in the same recorder order, then the first `FindSuccessor` and the
-    /// attempt's deadline go on the queue.
+    /// Opens the next attempt of `tag` through the shared
+    /// [`open_attempt`](ChordNetwork) (backoff on retries, dead-origin
+    /// exit, ordinal, trace), then queues its first `FindSuccessor` and
+    /// its deadline, both after the backoff.
     fn start_attempt(&mut self, net: &ChordNetwork, tag: u64) {
-        let counters = net.counters();
-        let recorder = net.metrics().recorder();
         let p = self
             .pending
             .get_mut(&tag)
             .expect("attempt for live request");
-        let mut start_delay = SimDuration::ZERO;
-        if p.attempt > 1 {
-            let policy = net.retry_policy().expect("retries imply a policy");
-            // Backoff is pure waiting: latency (and wall-clock), no
-            // messages — identical accounting to the sync retry loop.
-            let backoff = policy.backoff_ticks(p.attempt - 1);
-            p.spent.latency += backoff;
-            recorder.incr(counters.lookup_retries);
-            recorder
-                .profiler()
-                .add(counters.span_retry_backoff, backoff);
-            start_delay = SimDuration::from_ticks(backoff);
-        }
-        if !net.node(p.from).is_alive() {
-            // Mirrors `route_attempt`'s dead-origin exit, including the
-            // sync wrapper's (empty) finger-walk span close.
-            recorder.profiler().add(counters.span_finger_walk, 0);
+        let waited = p.attempt.spent.latency;
+        let opened = net.open_attempt(&mut p.attempt, net.retry_policy());
+        let start_delay = SimDuration::from_ticks(p.attempt.spent.latency - waited);
+        if let Err(e) = opened {
             let at = self.now.saturating_add(start_delay);
-            self.complete(net, tag, Err(LookupError::StartDead), at);
+            self.complete(net, tag, Err(e), at);
             return;
         }
-        // Drawn whether or not tracing is on, so exemplar ids agree
-        // between traced and untraced replays of the same seed.
-        p.ordinal = recorder.next_op_ordinal();
-        p.cost = Cost::FREE;
-        p.skip = 0;
-        p.hops = 0;
-        p.current = p.from;
-        p.trace = recorder.tracing_enabled().then(|| TraceBuilder {
-            from: net.node(p.from).point(),
-            target: p.target,
-            hops: Vec::new(),
-            seen_latency: 0,
-            attempt: p.attempt - 1,
-            ordinal: p.ordinal,
-        });
+        p.current = p.attempt.from;
         let gen = p.generation;
-        let at = u32::try_from(p.from.index()).expect("arena indexes fit u32");
+        let at = u32::try_from(p.current.index()).expect("arena indexes fit u32");
         self.schedule_in(
             start_delay,
             Message::FindSuccessor {
@@ -462,8 +416,8 @@ impl LookupEngine {
         }
     }
 
-    /// A hop processes one step of the walk — the engine's only call
-    /// into the shared routing code. Returns the reply to the origin
+    /// A hop processes one step of the walk through the shared
+    /// [`step_attempt`](ChordNetwork). Returns the reply to the origin
     /// for [`process`](Self::process) to send, if the walk got that far.
     fn on_find(
         &mut self,
@@ -480,27 +434,16 @@ impl LookupEngine {
         }
         let current = NodeId::from_index(at as usize);
         p.current = current;
-        p.hops = hops;
-
-        // Hop-cap check, origin-side like the sync loop's.
-        if hops > net.config().max_hops() {
-            if let Some(t) = p.trace.take() {
-                t.finish(net, TraceOutcome::Unresolved, &p.cost);
-            }
-            let e = LookupError::HopLimitExceeded {
-                max_hops: net.config().max_hops(),
-            };
-            self.attempt_failed(net, req, e);
-            return None;
-        }
+        p.attempt.hops = hops;
 
         // The hop died while the request was in flight (churn the sync
-        // walk cannot see): the probe costs one timed-out message and
-        // reports no progress; the policy tiers take it from there.
-        if !net.node(current).is_alive() {
-            p.cost.messages += 1;
+        // walk cannot see): unless the hop cap ends the attempt first,
+        // the probe costs one timed-out message and reports no progress;
+        // the policy tiers take it from there.
+        if hops <= net.config().max_hops() && !net.node(current).is_alive() {
+            p.attempt.cost.messages += 1;
             let d = net.config().latency().sample(&mut p.rng).ticks();
-            p.cost.latency += d;
+            p.attempt.cost.latency += d;
             let delay = self.wall_delay(current, d);
             let reply = Message::NextHop {
                 req,
@@ -510,44 +453,21 @@ impl LookupEngine {
             return Some((delay, reply));
         }
 
-        let before = p.cost.latency;
-        let outcome = net.hop_step(
-            current,
-            p.target,
-            faults,
-            hops,
-            p.ordinal,
-            &mut p.cost,
-            &mut p.skip,
-            &mut p.trace,
-            &mut p.rng,
-        );
-        let step_latency = p.cost.latency - before;
-        let attempt_latency = p.cost.latency;
-        let skip_total = p.skip;
-        let attempt = p.attempt;
-        if matches!(outcome, HopOutcome::Done(_)) {
-            p.resolved = true;
-        }
-        let delay = self.wall_delay(current, step_latency);
+        let before = p.attempt.cost.latency;
+        let outcome = net.step_attempt(&mut p.attempt, current, faults, &mut p.rng);
+        let step_latency = p.attempt.cost.latency - before;
         let reply = match outcome {
+            HopOutcome::Failed(e @ LookupError::HopLimitExceeded { .. }) => {
+                // The origin-side hop cap: nothing was sent.
+                self.attempt_failed(net, req, e);
+                return None;
+            }
             HopOutcome::Done(hit) => {
-                // Attempt resolved: close its spans and charge the
-                // policy bookkeeping now (sync order); the answer itself
-                // still has to travel back to the origin.
-                let profiler = net.metrics().recorder().profiler();
-                profiler.add(
-                    net.counters().span_finger_walk,
-                    attempt_latency - skip_total,
-                );
-                if skip_total > 0 {
-                    profiler.add(net.counters().span_demoted_skip, skip_total);
-                }
-                if attempt > 1 {
-                    net.metrics()
-                        .recorder()
-                        .add(net.counters().lookup_fallback_depth, 1);
-                }
+                // The attempt resolved: close it now, in the sync walk's
+                // order; the answer itself still has to travel back to
+                // the origin.
+                p.resolved = true;
+                let _ = net.close_attempt(&mut p.attempt, net.retry_policy(), Ok(hit), &mut p.rng);
                 let captured = hit.point != net.node(hit.node).point();
                 Message::Notify {
                     req,
@@ -573,7 +493,7 @@ impl LookupEngine {
                 }
             }
         };
-        Some((delay, reply))
+        Some((self.wall_delay(current, step_latency), reply))
     }
 
     /// The origin hears back from a hop: either forward the walk one
@@ -600,7 +520,7 @@ impl LookupEngine {
             req,
             gen,
             at: next,
-            hops: p.hops + 1,
+            hops: p.attempt.hops + 1,
         };
         Some((SimDuration::ZERO, find))
     }
@@ -623,19 +543,16 @@ impl LookupEngine {
         }
         let node = NodeId::from_index(owner as usize);
         let point = if captured {
-            p.target
+            p.attempt.target
         } else {
             net.node(node).point()
         };
-        let cost = Cost {
-            messages: p.cost.messages + p.spent.messages,
-            latency: p.cost.latency + p.spent.latency,
-        };
+        // Closing the resolved attempt folded its cost into `spent`.
         let result = LookupResult {
             node,
             point,
             hops,
-            cost,
+            cost: p.attempt.spent,
         };
         self.complete(net, req, Ok(result), self.now);
     }
@@ -676,56 +593,35 @@ impl LookupEngine {
         }
         // Preempt: the attempt's probes were paid for even though it
         // never failed outright.
-        if let Some(t) = p.trace.take() {
-            t.finish(net, TraceOutcome::Unresolved, &p.cost);
-        }
+        p.attempt.finish_trace(net, TraceOutcome::Unresolved);
         let e = LookupError::TimedOut { timeout_ticks };
         self.attempt_failed(net, req, e);
     }
 
-    /// Shared failure path: close the attempt's spans, fold its cost
-    /// into `spent`, then retry (next generation), degrade through
-    /// [`fallback_resolve`](ChordNetwork) or complete with the error —
-    /// the sync policy loop's control flow, replayed at event time.
+    /// Shared failure path: closes the attempt through
+    /// [`close_attempt`](ChordNetwork), then either opens the next
+    /// generation's attempt or completes with what the close returned —
+    /// the error, or the fallback tiers' answer.
     fn attempt_failed(&mut self, net: &ChordNetwork, req: u64, e: LookupError) {
-        let counters = net.counters();
-        let recorder = net.metrics().recorder();
         let p = self
             .pending
             .get_mut(&req)
             .expect("failed attempt has state");
-        let profiler = recorder.profiler();
-        profiler.add(counters.span_finger_walk, p.cost.latency - p.skip);
-        if p.skip > 0 {
-            profiler.add(counters.span_demoted_skip, p.skip);
-        }
-        p.spent.messages += p.cost.messages;
-        p.spent.latency += p.cost.latency;
-        p.cost = Cost::FREE;
-        p.skip = 0;
-        let Some(policy) = net.retry_policy() else {
-            self.complete(net, req, Err(e), self.now);
-            return;
-        };
-        if p.attempt < policy.max_attempts.max(1) {
-            p.attempt += 1;
+        let ControlFlow::Break(result) =
+            net.close_attempt(&mut p.attempt, net.retry_policy(), Err(e), &mut p.rng)
+        else {
             p.generation += 1;
             self.start_attempt(net, req);
             return;
-        }
-        // Attempts exhausted: degrade through the shared fallback tiers.
-        // They resolve synchronously (walk hops are successor-chain
-        // traversals from the origin, the quorum is an out-of-band
-        // directory round); the wall-clock charge is their latency delta.
-        let entry_latency = p.spent.latency;
-        let spent = p.spent;
-        let from = p.from;
-        let target = p.target;
-        let result = net.fallback_resolve(from, target, spent, e, &mut p.rng);
+        };
+        // The fallback tiers resolve synchronously (walk hops are
+        // successor-chain traversals from the origin, the quorum is an
+        // out-of-band directory round); the wall-clock charge is their
+        // latency on top of the routed attempts'.
         let completed_at = match &result {
-            Ok(hit) => self
-                .now
-                .saturating_add(SimDuration::from_ticks(hit.cost.latency - entry_latency)),
+            Ok(hit) => self.now.saturating_add(SimDuration::from_ticks(
+                hit.cost.latency - p.attempt.spent.latency,
+            )),
             Err(_) => self.now,
         };
         self.complete(net, req, result, completed_at);
@@ -744,14 +640,20 @@ impl LookupEngine {
         let p = self.pending.remove(&tag).expect("completion has state");
         let recorder = net.metrics().recorder();
         recorder.incr(net.counters().engine_completions);
-        let age = completed_at - p.submitted_at;
-        recorder.record_with_exemplar(net.counters().engine_age_hist, age.ticks(), p.ordinal);
+        let age = (completed_at - p.submitted_at).ticks();
+        let age_hist = net.counters().engine_age_hist;
+        // A request whose origin was dead from the start routed nothing,
+        // so it has no ordinal for an exemplar to cite.
+        match p.attempt.ordinal {
+            Some(ordinal) => recorder.record_with_exemplar(age_hist, age, ordinal),
+            None => recorder.record(age_hist, age),
+        }
         self.completions.push(Completion {
             tag,
             submitted_at: p.submitted_at,
             started_at: p.started_at,
             completed_at,
-            attempts: p.attempt,
+            attempts: p.attempt.number,
             timeouts: p.timeouts,
             result,
         });
@@ -840,5 +742,43 @@ mod tests {
                 "stagger {stagger}"
             );
         }
+    }
+
+    #[test]
+    fn a_dead_origin_request_cites_no_exemplar() {
+        // A request from a dead origin routes nothing and draws no op
+        // ordinal, so its in-flight age must not cite one: ordinal 0
+        // belongs to the first real lookup.
+        let space = KeySpace::full();
+        let mut r = StdRng::seed_from_u64(3);
+        let mut net = ChordNetwork::bootstrap(
+            space,
+            space.random_points(&mut r, 64),
+            crate::ChordConfig::default(),
+        );
+        let faults = crate::FaultPlan::none();
+        let live = net.live_ids();
+        let mut engine = LookupEngine::new(EngineConfig::default());
+        engine.submit(&net, live[0], Point::new(r.gen()));
+        engine.drain(&net, &faults);
+        net.crash(live[1]);
+        engine.submit(&net, live[1], Point::new(r.gen()));
+        engine.drain(&net, &faults);
+
+        let done = engine.completions();
+        let age = done[0].completed_at - done[0].submitted_at;
+        assert!(age.ticks() > 0);
+        assert_eq!(done[1].result, Err(LookupError::StartDead));
+        let hist = net
+            .metrics()
+            .recorder()
+            .histogram_snapshot(net.counters().engine_age_hist);
+        assert_eq!(hist.count(), 2, "both requests record their age");
+        let cited: Vec<(u64, u64)> = hist
+            .exemplars()
+            .iter()
+            .map(|e| (e.value, e.trace_id))
+            .collect();
+        assert_eq!(cited, [(age.ticks(), 0)]);
     }
 }

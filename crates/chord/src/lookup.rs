@@ -1,4 +1,5 @@
 use core::fmt;
+use core::ops::ControlFlow;
 
 use keyspace::Point;
 use peer_sampling::Cost;
@@ -6,34 +7,50 @@ use rand::Rng;
 use telemetry::{FallbackTier, HopRecord, LookupTrace, TraceOutcome};
 
 use crate::network::{ChordNetwork, NodeId};
+use crate::RetryPolicy;
 
 /// Per-lookup trace state, allocated only when the recorder's tracing
 /// flag is on — the disabled hot path pays one relaxed atomic load.
-/// Crate-visible so the async [`engine`](crate::engine) builds the same
-/// traces hop-for-hop.
 pub(crate) struct TraceBuilder {
-    pub(crate) from: Point,
-    pub(crate) target: Point,
-    pub(crate) hops: Vec<HopRecord>,
+    from: Point,
+    target: Point,
+    hops: Vec<HopRecord>,
     /// Latency accounted so far, to attribute per-hop deltas (probe
     /// timeouts included in the hop that paid for them).
-    pub(crate) seen_latency: u64,
+    seen_latency: u64,
     /// Retry attempt stamped on every routed hop (0 = first try).
-    pub(crate) attempt: u8,
+    attempt: u8,
     /// Operation ordinal (from `Recorder::next_op_ordinal`) — the id
     /// histogram exemplars carry, so tail buckets join back to traces.
-    pub(crate) ordinal: u64,
+    ordinal: u64,
 }
 
 impl TraceBuilder {
-    pub(crate) fn hop(
-        &mut self,
+    /// A trace of a lookup from `from` for `target` whose first hop
+    /// follows `seen_latency` ticks already accounted, or `None` while
+    /// tracing is off.
+    fn open(
         net: &ChordNetwork,
-        origin: Point,
-        to: NodeId,
-        forged: bool,
-        cost: &Cost,
-    ) {
+        from: NodeId,
+        target: Point,
+        seen_latency: u64,
+        attempt: u8,
+        ordinal: u64,
+    ) -> Option<TraceBuilder> {
+        net.metrics()
+            .recorder()
+            .tracing_enabled()
+            .then(|| TraceBuilder {
+                from: net.node(from).point(),
+                target,
+                hops: Vec::new(),
+                seen_latency,
+                attempt,
+                ordinal,
+            })
+    }
+
+    fn hop(&mut self, net: &ChordNetwork, origin: Point, to: NodeId, forged: bool, cost: &Cost) {
         let to_point = net.node(to).point();
         let distance = net.space().distance(origin, to_point).get();
         let finger_level = if distance == 0 {
@@ -54,7 +71,7 @@ impl TraceBuilder {
 
     /// A synthetic fallback-tier hop (successor-walk step or quorum
     /// round); `finger_level` is 0 — no finger resolved it.
-    pub(crate) fn fallback_hop(&mut self, node: Point, tier: FallbackTier, total_latency: u64) {
+    fn fallback_hop(&mut self, node: Point, tier: FallbackTier, total_latency: u64) {
         self.hops.push(HopRecord {
             node: node.get(),
             finger_level: 0,
@@ -66,7 +83,7 @@ impl TraceBuilder {
         self.seen_latency = total_latency;
     }
 
-    pub(crate) fn finish(self, net: &ChordNetwork, outcome: TraceOutcome, cost: &Cost) {
+    fn finish(self, net: &ChordNetwork, outcome: TraceOutcome, cost: &Cost) {
         net.metrics().recorder().push_trace(LookupTrace {
             from: self.from.get(),
             target: self.target.get(),
@@ -149,6 +166,61 @@ pub(crate) enum HopOutcome {
     Failed(LookupError),
 }
 
+/// The attempt accounting of one lookup, shared by the sync walk and the
+/// async [`engine`](crate::engine). Both drive it through
+/// [`open_attempt`](ChordNetwork::open_attempt),
+/// [`step_attempt`](ChordNetwork::step_attempt) and
+/// [`close_attempt`](ChordNetwork::close_attempt), so every attempt's
+/// messages, ticks, spans and counters are charged once, the same way,
+/// whichever driver routes it.
+pub(crate) struct Attempt {
+    /// The lookup's origin.
+    pub(crate) from: NodeId,
+    /// The point being looked up.
+    pub(crate) target: Point,
+    /// 1-based number of the open (or last) attempt; 0 before the first.
+    pub(crate) number: u8,
+    /// Op ordinal of the last attempt that got past the origin check —
+    /// the id its exemplars and trace carry. `None` while no attempt has.
+    pub(crate) ordinal: Option<u64>,
+    /// Cost of the open attempt so far.
+    pub(crate) cost: Cost,
+    /// Latency the open attempt burnt probing dead score-demoted
+    /// candidates, charged to `lookup;demoted_skip` rather than
+    /// `lookup;finger_walk`.
+    skip: u64,
+    /// Hops the open attempt has taken.
+    pub(crate) hops: u32,
+    /// Cost of the closed attempts plus retry backoff.
+    pub(crate) spent: Cost,
+    trace: Option<TraceBuilder>,
+}
+
+impl Attempt {
+    /// The state of a lookup from `from` for `target` before its first
+    /// attempt.
+    pub(crate) fn new(from: NodeId, target: Point) -> Attempt {
+        Attempt {
+            from,
+            target,
+            number: 0,
+            ordinal: None,
+            cost: Cost::FREE,
+            skip: 0,
+            hops: 0,
+            spent: Cost::FREE,
+            trace: None,
+        }
+    }
+
+    /// Ends the open attempt's trace, if it has one, with `outcome`.
+    pub(crate) fn finish_trace(&mut self, net: &ChordNetwork, outcome: TraceOutcome) {
+        if let Some(t) = self.trace.take() {
+            t.finish(net, outcome, &self.cost);
+        }
+    }
+}
+
 impl ChordNetwork {
     /// Routes a lookup for `target` starting at node `from`, returning the
     /// live node whose point is the clockwise successor of `target`.
@@ -194,120 +266,159 @@ impl ChordNetwork {
         faults: &crate::FaultPlan,
         rng: &mut R,
     ) -> Result<LookupResult, LookupError> {
-        self.route_with_faults(from, target, faults, 0, rng)
-            .map_err(|(e, _)| e)
+        self.route(from, target, faults, None, rng)
     }
 
-    /// The routing loop behind
-    /// [`find_successor_with_faults`](ChordNetwork::find_successor_with_faults),
-    /// reporting the cost spent on *failed* lookups too so the retry
-    /// policy can attribute it instead of losing it with the `Err`.
-    /// `attempt` is stamped on every traced hop (0 = first try).
-    ///
-    /// Wraps the routing loop with span attribution: routed latency is
-    /// charged to `lookup;finger_walk`, minus the share burnt probing
-    /// score-demoted candidates, which goes to `lookup;demoted_skip`.
-    fn route_with_faults<R: Rng + ?Sized>(
+    /// The attempt loop behind
+    /// [`find_successor_with_faults`](Self::find_successor_with_faults)
+    /// (no `policy`: one attempt, no fallback) and
+    /// [`find_successor_with_policy`](Self::find_successor_with_policy).
+    fn route<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         target: Point,
         faults: &crate::FaultPlan,
-        attempt: u8,
+        policy: Option<RetryPolicy>,
         rng: &mut R,
-    ) -> Result<LookupResult, (LookupError, Cost)> {
-        let mut skip = 0u64;
-        let out = self.route_attempt(from, target, faults, attempt, &mut skip, rng);
-        let total = match &out {
-            Ok(hit) => hit.cost.latency,
-            Err((_, cost)) => cost.latency,
-        };
-        let profiler = self.metrics().recorder().profiler();
-        profiler.add(self.counters().span_finger_walk, total - skip);
-        if skip > 0 {
-            profiler.add(self.counters().span_demoted_skip, skip);
+    ) -> Result<LookupResult, LookupError> {
+        let mut st = Attempt::new(from, target);
+        loop {
+            self.open_attempt(&mut st, policy)?;
+            let mut current = from;
+            let outcome = loop {
+                match self.step_attempt(&mut st, current, faults, rng) {
+                    HopOutcome::Done(hit) => break Ok(hit),
+                    HopOutcome::Failed(e) => break Err(e),
+                    HopOutcome::Forward(next) => {
+                        current = next;
+                        st.hops += 1;
+                    }
+                }
+            };
+            if let ControlFlow::Break(result) = self.close_attempt(&mut st, policy, outcome, rng) {
+                return result;
+            }
         }
-        out
     }
 
-    /// One routed attempt (the iterative walk itself); `skip` accumulates
-    /// the latency of dead probes against score-demoted candidates, for
-    /// the `lookup;demoted_skip` span.
-    fn route_attempt<R: Rng + ?Sized>(
+    /// Opens attempt `st.number + 1`. A retry first waits out `policy`'s
+    /// backoff: latency into `spent`, no messages. A dead origin ends the
+    /// lookup with [`LookupError::StartDead`] before an ordinal is drawn
+    /// (no fallback can act for it).
+    pub(crate) fn open_attempt(
         &self,
-        from: NodeId,
-        target: Point,
-        faults: &crate::FaultPlan,
-        attempt: u8,
-        skip: &mut u64,
-        rng: &mut R,
-    ) -> Result<LookupResult, (LookupError, Cost)> {
-        if !self.node(from).is_alive() {
-            return Err((LookupError::StartDead, Cost::FREE));
-        }
+        st: &mut Attempt,
+        policy: Option<RetryPolicy>,
+    ) -> Result<(), LookupError> {
+        let counters = self.counters();
         let recorder = self.metrics().recorder();
+        st.number += 1;
+        if st.number > 1 {
+            let backoff = policy
+                .expect("only a retry policy retries")
+                .backoff_ticks(st.number - 1);
+            st.spent.latency += backoff;
+            recorder.incr(counters.lookup_retries);
+            recorder
+                .profiler()
+                .add(counters.span_retry_backoff, backoff);
+        }
+        if !self.node(st.from).is_alive() {
+            recorder.profiler().add(counters.span_finger_walk, 0);
+            return Err(LookupError::StartDead);
+        }
         // Drawn whether or not tracing is on, so exemplar ids agree
         // between traced and untraced replays of the same seed.
         let ordinal = recorder.next_op_ordinal();
-        let mut cost = Cost::FREE;
-        let mut trace = recorder.tracing_enabled().then(|| TraceBuilder {
-            from: self.node(from).point(),
-            target,
-            hops: Vec::new(),
-            seen_latency: 0,
-            attempt,
-            ordinal,
-        });
+        st.ordinal = Some(ordinal);
+        st.cost = Cost::FREE;
+        st.skip = 0;
+        st.hops = 0;
+        st.trace = TraceBuilder::open(self, st.from, st.target, 0, st.number - 1, ordinal);
+        Ok(())
+    }
 
-        let mut current = from;
-        let mut hops = 0u32;
-        loop {
-            if hops > self.config().max_hops() {
-                if let Some(t) = trace.take() {
-                    t.finish(self, TraceOutcome::Unresolved, &cost);
+    /// One hop of the open attempt, at `current`: past the hop cap the
+    /// attempt fails with [`LookupError::HopLimitExceeded`], otherwise
+    /// [`hop_step`](Self::hop_step) routes it. The async engine runs one
+    /// per delivered `FindSuccessor` message.
+    pub(crate) fn step_attempt<R: Rng + ?Sized>(
+        &self,
+        st: &mut Attempt,
+        current: NodeId,
+        faults: &crate::FaultPlan,
+        rng: &mut R,
+    ) -> HopOutcome {
+        let max_hops = self.config().max_hops();
+        if st.hops > max_hops {
+            st.finish_trace(self, TraceOutcome::Unresolved);
+            return HopOutcome::Failed(LookupError::HopLimitExceeded { max_hops });
+        }
+        self.hop_step(st, current, faults, rng)
+    }
+
+    /// Closes the open attempt with its `outcome`. Its latency goes to
+    /// the `lookup;finger_walk` span, minus the share burnt on dead
+    /// score-demoted candidates, which goes to `lookup;demoted_skip`; its
+    /// cost is folded into `spent`. A success breaks with the whole
+    /// lookup's cost, a retried one adding 1 to `lookup.fallback_depth`.
+    /// A failure continues while `policy` has attempts left, then breaks
+    /// with the fallback tiers' answer; with no policy it breaks with the
+    /// error.
+    pub(crate) fn close_attempt<R: Rng + ?Sized>(
+        &self,
+        st: &mut Attempt,
+        policy: Option<RetryPolicy>,
+        outcome: Result<LookupResult, LookupError>,
+        rng: &mut R,
+    ) -> ControlFlow<Result<LookupResult, LookupError>> {
+        let counters = self.counters();
+        let recorder = self.metrics().recorder();
+        let profiler = recorder.profiler();
+        profiler.add(counters.span_finger_walk, st.cost.latency - st.skip);
+        if st.skip > 0 {
+            profiler.add(counters.span_demoted_skip, st.skip);
+        }
+        st.spent.messages += st.cost.messages;
+        st.spent.latency += st.cost.latency;
+        match (outcome, policy) {
+            (Ok(hit), _) => {
+                if st.number > 1 {
+                    recorder.add(counters.lookup_fallback_depth, 1);
                 }
-                return Err((
-                    LookupError::HopLimitExceeded {
-                        max_hops: self.config().max_hops(),
-                    },
-                    cost,
-                ));
+                ControlFlow::Break(Ok(LookupResult {
+                    cost: st.spent,
+                    ..hit
+                }))
             }
-            match self.hop_step(
-                current, target, faults, hops, ordinal, &mut cost, skip, &mut trace, rng,
-            ) {
-                HopOutcome::Done(hit) => return Ok(hit),
-                HopOutcome::Failed(e) => return Err((e, cost)),
-                HopOutcome::Forward(next) => {
-                    current = next;
-                    hops += 1;
-                }
+            (Err(e), None) => ControlFlow::Break(Err(e)),
+            (Err(_), Some(policy)) if st.number < policy.max_attempts.max(1) => {
+                ControlFlow::Continue(())
+            }
+            (Err(e), Some(policy)) => {
+                ControlFlow::Break(self.fallback_resolve(&policy, st, e, rng))
             }
         }
     }
 
-    /// One hop of the iterative walk, shared verbatim between the sync
-    /// loop above and the async [`engine`](crate::engine) (which runs
-    /// exactly one `hop_step` per delivered `FindSuccessor` message).
-    /// All recorder/score side effects happen here in a fixed order, so
-    /// the two drivers stay bit-identical; the hop-cap check stays with
-    /// the caller (the engine enforces it at the origin on `NextHop`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn hop_step<R: Rng + ?Sized>(
+    /// One hop of the iterative walk at `current`, shared verbatim by the
+    /// sync loop and the async [`engine`](crate::engine) through
+    /// [`step_attempt`](Self::step_attempt). All recorder/score side
+    /// effects happen here in a fixed order, so the two drivers stay
+    /// bit-identical.
+    fn hop_step<R: Rng + ?Sized>(
         &self,
+        st: &mut Attempt,
         current: NodeId,
-        target: Point,
         faults: &crate::FaultPlan,
-        hops: u32,
-        ordinal: u64,
-        cost: &mut Cost,
-        skip: &mut u64,
-        trace: &mut Option<TraceBuilder>,
         rng: &mut R,
     ) -> HopOutcome {
         let counters = self.counters();
         let recorder = self.metrics().recorder();
         let latency_model = self.config().latency();
         let cur_point = self.node(current).point();
+        let (target, hops) = (st.target, st.hops);
+        let ordinal = st.ordinal.expect("an open attempt has drawn its ordinal");
 
         // Fault injection: a Byzantine hop answers the lookup with
         // itself instead of routing on, *and* forges its reported ring
@@ -320,14 +431,12 @@ impl ChordNetwork {
             recorder.incr(counters.lookup_byzantine_claim);
             recorder.add(counters.lookup_hops, hops as u64);
             recorder.record_with_exemplar(counters.hop_hist, hops as u64, ordinal);
-            if let Some(t) = trace.take() {
-                t.finish(self, TraceOutcome::Captured(cur_point.get()), cost);
-            }
+            st.finish_trace(self, TraceOutcome::Captured(cur_point.get()));
             return HopOutcome::Done(LookupResult {
                 node: current,
                 point: target,
                 hops,
-                cost: *cost,
+                cost: st.cost,
             });
         }
 
@@ -337,14 +446,12 @@ impl ChordNetwork {
         if successors.len() == 1 && successors.first() == Some(current) {
             recorder.add(counters.lookup_hops, hops as u64);
             recorder.record_with_exemplar(counters.hop_hist, hops as u64, ordinal);
-            if let Some(t) = trace.take() {
-                t.finish(self, TraceOutcome::Resolved(cur_point.get()), cost);
-            }
+            st.finish_trace(self, TraceOutcome::Resolved(cur_point.get()));
             return HopOutcome::Done(LookupResult {
                 node: current,
                 point: cur_point,
                 hops,
-                cost: *cost,
+                cost: st.cost,
             });
         }
 
@@ -354,9 +461,7 @@ impl ChordNetwork {
         // successor (list entries are consecutive ring nodes), at the
         // price of one timed-out probe per dead entry.
         if successors.is_empty() {
-            if let Some(t) = trace.take() {
-                t.finish(self, TraceOutcome::Unresolved, cost);
-            }
+            st.finish_trace(self, TraceOutcome::Unresolved);
             return HopOutcome::Failed(LookupError::SuccessorsAllDead);
         }
         let answer_rank = successors
@@ -366,8 +471,8 @@ impl ChordNetwork {
             let mut found = None;
             for cand in successors.iter().skip(rank) {
                 // Probe / handoff message.
-                cost.messages += 1;
-                cost.latency += latency_model.sample(rng).ticks();
+                st.cost.messages += 1;
+                st.cost.latency += latency_model.sample(rng).ticks();
                 let alive = self.node(cand).is_alive();
                 if let Some(scores) = self.scores() {
                     scores.borrow_mut().record(cand, alive);
@@ -382,15 +487,15 @@ impl ChordNetwork {
                 recorder.add(counters.lookup_hops, (hops + 1) as u64);
                 recorder.record_with_exemplar(counters.hop_hist, (hops + 1) as u64, ordinal);
                 let answer_point = self.node(cand).point();
-                if let Some(mut t) = trace.take() {
-                    t.hop(self, cur_point, cand, faults.is_byzantine(cand), cost);
-                    t.finish(self, TraceOutcome::Resolved(answer_point.get()), cost);
+                if let Some(t) = st.trace.as_mut() {
+                    t.hop(self, cur_point, cand, faults.is_byzantine(cand), &st.cost);
                 }
+                st.finish_trace(self, TraceOutcome::Resolved(answer_point.get()));
                 return HopOutcome::Done(LookupResult {
                     node: cand,
                     point: answer_point,
                     hops: hops + 1,
-                    cost: *cost,
+                    cost: st.cost,
                 });
             }
             // The whole tail of the list was dead: fall through to
@@ -400,19 +505,19 @@ impl ChordNetwork {
 
         // Case 2: forward to the closest preceding live candidate
         // (fingers first, then the successor list).
-        let Some(next_hop) = self.closest_preceding(current, target, cost, skip, rng) else {
-            if let Some(t) = trace.take() {
-                t.finish(self, TraceOutcome::Unresolved, cost);
-            }
+        let Some(next_hop) =
+            self.closest_preceding(current, target, &mut st.cost, &mut st.skip, rng)
+        else {
+            st.finish_trace(self, TraceOutcome::Unresolved);
             return HopOutcome::Failed(LookupError::SuccessorsAllDead);
         };
-        if let Some(t) = trace.as_mut() {
+        if let Some(t) = st.trace.as_mut() {
             t.hop(
                 self,
                 cur_point,
                 next_hop,
                 faults.is_byzantine(next_hop),
-                cost,
+                &st.cost,
             );
         }
         HopOutcome::Forward(next_hop)
@@ -560,14 +665,14 @@ impl ChordNetwork {
     /// under the armed [`RetryPolicy`](crate::RetryPolicy) — the
     /// graceful-degradation entry point used by the DHT facade.
     ///
-    /// With no policy armed this delegates verbatim (byte-identical cost
-    /// and RNG consumption). With a policy, a failed routed attempt is
-    /// retried up to `max_attempts` times, each retry paying a
-    /// deterministic backoff (`backoff_base << (k − 1)` latency ticks, no
-    /// messages) — with adaptive scoring on, the failed attempt's dead
-    /// probes have already re-ranked the next attempt's candidates. If
-    /// every routed attempt fails, the lookup *degrades* instead of
-    /// erroring:
+    /// With no policy armed this is exactly
+    /// [`find_successor_with_faults`](ChordNetwork::find_successor_with_faults).
+    /// With a policy, a failed routed attempt is retried up to
+    /// `max_attempts` times, each retry paying a deterministic backoff
+    /// (`backoff_base << (k − 1)` latency ticks, no messages) — with
+    /// adaptive scoring on, the failed attempt's dead probes have already
+    /// re-ranked the next attempt's candidates. If every routed attempt
+    /// fails, the lookup *degrades* instead of erroring:
     ///
     /// * **successor-walk** (fallback depth 2): pure `next`-pointer
     ///   progress from the origin for up to `walk_limit` hops, one
@@ -595,63 +700,22 @@ impl ChordNetwork {
         faults: &crate::FaultPlan,
         rng: &mut R,
     ) -> Result<LookupResult, LookupError> {
-        let Some(policy) = self.retry_policy() else {
-            return self.find_successor_with_faults(from, target, faults, rng);
-        };
-        let counters = self.counters();
-        let recorder = self.metrics().recorder();
-        let mut spent = Cost::FREE;
-        let mut last_err = LookupError::StartDead;
-        for attempt in 1..=policy.max_attempts.max(1) {
-            if attempt > 1 {
-                // Backoff is pure waiting: latency, no messages.
-                let backoff = policy.backoff_ticks(attempt - 1);
-                spent.latency += backoff;
-                recorder.incr(counters.lookup_retries);
-                recorder
-                    .profiler()
-                    .add(counters.span_retry_backoff, backoff);
-            }
-            match self.route_with_faults(from, target, faults, attempt - 1, rng) {
-                Ok(mut hit) => {
-                    hit.cost.messages += spent.messages;
-                    hit.cost.latency += spent.latency;
-                    if attempt > 1 {
-                        recorder.add(counters.lookup_fallback_depth, 1);
-                    }
-                    return Ok(hit);
-                }
-                Err((e, cost)) => {
-                    // A failed attempt still paid for its probes.
-                    spent.messages += cost.messages;
-                    spent.latency += cost.latency;
-                    last_err = e;
-                    if e == LookupError::StartDead {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        self.fallback_resolve(from, target, spent, last_err, rng)
+        self.route(from, target, faults, self.retry_policy(), rng)
     }
 
-    /// The degradation tail shared by the sync policy entry point above
-    /// and the async [`engine`](crate::engine): successor-walk, then
-    /// verified-quorum resolution. `spent` carries the cost of the failed
-    /// routed attempts (and any backoff) so the degraded answer arrives
-    /// fully attributed; `last_err` is returned when even the quorum tier
-    /// has nothing live to resolve against.
-    pub(crate) fn fallback_resolve<R: Rng + ?Sized>(
+    /// The degradation tail of a lookup whose routed attempts all failed:
+    /// successor-walk, then verified-quorum resolution. `st.spent`
+    /// carries the cost of the failed attempts (and any backoff) so the
+    /// degraded answer arrives fully attributed; `last_err` is returned
+    /// when even the quorum tier has nothing live to resolve against.
+    fn fallback_resolve<R: Rng + ?Sized>(
         &self,
-        from: NodeId,
-        target: Point,
-        mut spent: Cost,
+        policy: &RetryPolicy,
+        st: &Attempt,
         last_err: LookupError,
         rng: &mut R,
     ) -> Result<LookupResult, LookupError> {
-        let Some(policy) = self.retry_policy() else {
-            return Err(last_err);
-        };
+        let (from, target, mut spent) = (st.from, st.target, st.spent);
         let counters = self.counters();
         let recorder = self.metrics().recorder();
         let latency_model = self.config().latency();
@@ -660,14 +724,14 @@ impl ChordNetwork {
         // one trace carrying synthetic walk/quorum hops.
         let fallback_ordinal = recorder.next_op_ordinal();
         let last_attempt = policy.max_attempts.max(1) - 1;
-        let mut trace = recorder.tracing_enabled().then(|| TraceBuilder {
-            from: self.node(from).point(),
+        let mut trace = TraceBuilder::open(
+            self,
+            from,
             target,
-            hops: Vec::new(),
-            seen_latency: spent.latency,
-            attempt: last_attempt,
-            ordinal: fallback_ordinal,
-        });
+            spent.latency,
+            last_attempt,
+            fallback_ordinal,
+        );
 
         // Fallback tier: successor-walk from the origin. Immune to the
         // stale fingers that defeated routing; every hop is guaranteed
