@@ -8,14 +8,17 @@
 //! 1. At zero (unit-constant) latency — where the latency model draws
 //!    nothing from the RNG — a sequentially-driven engine with deadlines
 //!    disarmed is *bit-identical* to the sync walk: same owner, same
-//!    hops, same fully-attributed cost, same hop-counter totals and the
-//!    same trace digest (traces, ordinals and outcomes byte-for-byte).
+//!    hops, same fully-attributed cost, same counters (all but the
+//!    engine's own), same span totals and the same trace digest (traces,
+//!    ordinals and outcomes byte-for-byte) — with adaptive scoring on or
+//!    off, from a live or a dead origin.
 //! 2. At nonzero (randomized) latency the costs legitimately diverge
 //!    (different RNG streams), but the *answer* may not: routing
 //!    decisions consume no randomness, so the owner is timing-independent.
 
 use chord::{
-    ChordConfig, ChordNetwork, EngineConfig, FaultPlan, LookupEngine, NodeId, RetryPolicy,
+    AdaptiveConfig, ChordConfig, ChordNetwork, EngineConfig, FaultPlan, LookupEngine, NodeId,
+    RetryPolicy,
 };
 use keyspace::{KeySpace, Point};
 use proptest::prelude::*;
@@ -90,6 +93,8 @@ proptest! {
         arc_len in 0usize..16,
         liar_stride in 3usize..8,
         with_policy in any::<bool>(),
+        with_scoring in any::<bool>(),
+        dead_origin in any::<bool>(),
         targets in proptest::collection::vec(any::<u64>(), 1..6),
     ) {
         // Two identical worlds: the sync driver and the engine driver.
@@ -101,6 +106,14 @@ proptest! {
         if with_policy {
             sync_net.enable_retry_policy(RetryPolicy::default());
             async_net.enable_retry_policy(RetryPolicy::default());
+        }
+        if with_scoring {
+            sync_net.enable_adaptive_routing(AdaptiveConfig::default());
+            async_net.enable_adaptive_routing(AdaptiveConfig::default());
+        }
+        if dead_origin {
+            sync_net.crash(plan.origin);
+            async_net.crash(async_plan.origin);
         }
 
         // Sync pass. Unit-constant latency draws nothing from the RNG,
@@ -154,6 +167,17 @@ proptest! {
             async_net.metrics().recorder().trace_digest(),
             "trace digests must be bit-identical"
         );
+        // Every span and every counter but the engine's own agree too.
+        prop_assert_eq!(
+            sync_net.metrics().recorder().profiler().totals(),
+            async_net.metrics().recorder().profiler().totals()
+        );
+        let shared_counters = |net: &ChordNetwork| {
+            let mut counters = net.metrics().snapshot();
+            counters.retain(|name, _| !name.starts_with("engine."));
+            counters
+        };
+        prop_assert_eq!(shared_counters(&sync_net), shared_counters(&async_net));
     }
 
     /// Property 2: under randomized per-message latency the answer is
