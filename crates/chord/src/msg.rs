@@ -1,27 +1,20 @@
-//! Wire messages of the async lookup [`engine`](crate::engine).
+//! Messages of the async lookup [`engine`](crate::engine).
 //!
-//! The sync walk calls [`hop_step`] as a function; the engine sends these
+//! The sync walk steps a lookup by function call; the engine sends these
 //! messages through a [`simnet::EventQueue`] instead, so delay, loss (a
 //! hop crashing mid-flight) and preemption (a timeout firing first)
-//! become expressible. The set mirrors iterative Chord: the origin asks a
+//! become expressible. The set follows iterative Chord: the origin asks a
 //! hop to [`FindSuccessor`](Message::FindSuccessor), the hop answers
 //! [`NextHop`](Message::NextHop) (or the final
 //! [`Notify`](Message::Notify)), and a per-attempt
 //! [`Timeout`](Message::Timeout) wakeup guards the round-trip.
-//!
-//! The codec pins the wire format: every variant serializes to a fixed
-//! little-endian layout, so a change to the protocol shape is visible as
-//! a codec-test diff, and the engine can (de)serialize its in-flight set
-//! for inspection without allocating per hop.
-//!
-//! [`hop_step`]: crate::network::ChordNetwork
 
 /// Sentinel node index in [`Message::NextHop`]: the hop could not route
 /// (its candidate set was exhausted, or it died before answering) — the
 /// origin fails the attempt with `SuccessorsAllDead` semantics.
 pub const NO_NEXT: u32 = u32::MAX;
 
-/// One serialized protocol message of the async lookup engine.
+/// One protocol message of the async lookup engine.
 ///
 /// `req` is the engine-level request tag; `gen` the request's attempt
 /// generation — a delivery whose generation no longer matches is stale
@@ -74,215 +67,4 @@ pub enum Message {
         /// Attempt generation this deadline was armed for.
         gen: u32,
     },
-}
-
-const TAG_FIND: u8 = 1;
-const TAG_NEXT: u8 = 2;
-const TAG_NOTIFY: u8 = 3;
-const TAG_TIMEOUT: u8 = 4;
-
-/// Encoded size of the largest variant (`Notify`).
-pub const MAX_ENCODED_LEN: usize = 1 + 8 + 4 + 4 + 4 + 1;
-
-impl Message {
-    /// Request tag this message belongs to.
-    pub fn req(&self) -> u64 {
-        match *self {
-            Message::FindSuccessor { req, .. }
-            | Message::NextHop { req, .. }
-            | Message::Notify { req, .. }
-            | Message::Timeout { req, .. } => req,
-        }
-    }
-
-    /// Attempt generation this message was sent under.
-    pub fn generation(&self) -> u32 {
-        match *self {
-            Message::FindSuccessor { gen, .. }
-            | Message::NextHop { gen, .. }
-            | Message::Notify { gen, .. }
-            | Message::Timeout { gen, .. } => gen,
-        }
-    }
-
-    /// Serializes to the pinned little-endian wire layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MAX_ENCODED_LEN);
-        match *self {
-            Message::FindSuccessor { req, gen, at, hops } => {
-                out.push(TAG_FIND);
-                out.extend_from_slice(&req.to_le_bytes());
-                out.extend_from_slice(&gen.to_le_bytes());
-                out.extend_from_slice(&at.to_le_bytes());
-                out.extend_from_slice(&hops.to_le_bytes());
-            }
-            Message::NextHop { req, gen, next } => {
-                out.push(TAG_NEXT);
-                out.extend_from_slice(&req.to_le_bytes());
-                out.extend_from_slice(&gen.to_le_bytes());
-                out.extend_from_slice(&next.to_le_bytes());
-            }
-            Message::Notify {
-                req,
-                gen,
-                owner,
-                hops,
-                captured,
-            } => {
-                out.push(TAG_NOTIFY);
-                out.extend_from_slice(&req.to_le_bytes());
-                out.extend_from_slice(&gen.to_le_bytes());
-                out.extend_from_slice(&owner.to_le_bytes());
-                out.extend_from_slice(&hops.to_le_bytes());
-                out.push(u8::from(captured));
-            }
-            Message::Timeout { req, gen } => {
-                out.push(TAG_TIMEOUT);
-                out.extend_from_slice(&req.to_le_bytes());
-                out.extend_from_slice(&gen.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes a message previously produced by
-    /// [`encode`](Message::encode); `None` on any malformed input
-    /// (unknown tag, wrong length, non-boolean flag byte).
-    pub fn decode(bytes: &[u8]) -> Option<Message> {
-        let (&tag, rest) = bytes.split_first()?;
-        let u64_at = |off: usize| {
-            rest.get(off..off + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let u32_at = |off: usize| {
-            rest.get(off..off + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        };
-        match tag {
-            TAG_FIND if rest.len() == 20 => Some(Message::FindSuccessor {
-                req: u64_at(0)?,
-                gen: u32_at(8)?,
-                at: u32_at(12)?,
-                hops: u32_at(16)?,
-            }),
-            TAG_NEXT if rest.len() == 16 => Some(Message::NextHop {
-                req: u64_at(0)?,
-                gen: u32_at(8)?,
-                next: u32_at(12)?,
-            }),
-            TAG_NOTIFY if rest.len() == 21 && rest[20] <= 1 => Some(Message::Notify {
-                req: u64_at(0)?,
-                gen: u32_at(8)?,
-                owner: u32_at(12)?,
-                hops: u32_at(16)?,
-                captured: rest[20] == 1,
-            }),
-            TAG_TIMEOUT if rest.len() == 12 => Some(Message::Timeout {
-                req: u64_at(0)?,
-                gen: u32_at(8)?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn exemplars() -> Vec<Message> {
-        vec![
-            Message::FindSuccessor {
-                req: 7,
-                gen: 2,
-                at: 131,
-                hops: 9,
-            },
-            Message::NextHop {
-                req: u64::MAX,
-                gen: 0,
-                next: NO_NEXT,
-            },
-            Message::Notify {
-                req: 1,
-                gen: 3,
-                owner: 42,
-                hops: 11,
-                captured: true,
-            },
-            Message::Notify {
-                req: 1,
-                gen: 3,
-                owner: 42,
-                hops: 11,
-                captured: false,
-            },
-            Message::Timeout { req: 99, gen: 1 },
-        ]
-    }
-
-    #[test]
-    fn every_variant_roundtrips() {
-        for msg in exemplars() {
-            let bytes = msg.encode();
-            assert!(bytes.len() <= MAX_ENCODED_LEN, "{msg:?}");
-            assert_eq!(Message::decode(&bytes), Some(msg), "{msg:?}");
-        }
-    }
-
-    #[test]
-    fn wire_layout_is_pinned() {
-        // Byte-level golden values: a layout change (field order, width,
-        // endianness) must fail here, not silently re-shape the protocol.
-        let msg = Message::FindSuccessor {
-            req: 0x0102_0304_0506_0708,
-            gen: 0x0A0B_0C0D,
-            at: 5,
-            hops: 6,
-        };
-        assert_eq!(
-            msg.encode(),
-            vec![1, 8, 7, 6, 5, 4, 3, 2, 1, 0x0D, 0x0C, 0x0B, 0x0A, 5, 0, 0, 0, 6, 0, 0, 0],
-        );
-        assert_eq!(
-            Message::Timeout { req: 2, gen: 1 }.encode(),
-            vec![4, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
-        );
-    }
-
-    #[test]
-    fn malformed_inputs_are_rejected() {
-        assert_eq!(Message::decode(&[]), None);
-        assert_eq!(Message::decode(&[9; 13]), None, "unknown tag");
-        for msg in exemplars() {
-            let bytes = msg.encode();
-            assert_eq!(
-                Message::decode(&bytes[..bytes.len() - 1]),
-                None,
-                "truncated"
-            );
-            let mut long = bytes.clone();
-            long.push(0);
-            assert_eq!(Message::decode(&long), None, "trailing garbage");
-        }
-        // A Notify flag byte outside {0, 1} is not a boolean.
-        let mut notify = Message::Notify {
-            req: 1,
-            gen: 1,
-            owner: 1,
-            hops: 1,
-            captured: false,
-        }
-        .encode();
-        *notify.last_mut().unwrap() = 2;
-        assert_eq!(Message::decode(&notify), None);
-    }
-
-    #[test]
-    fn accessors_cover_every_variant() {
-        for msg in exemplars() {
-            assert_eq!(msg.req(), Message::decode(&msg.encode()).unwrap().req());
-            assert!(msg.generation() <= 3);
-        }
-    }
 }
