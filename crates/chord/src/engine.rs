@@ -747,28 +747,21 @@ mod tests {
     #[test]
     fn a_dead_origin_request_cites_no_exemplar() {
         // A request from a dead origin routes nothing and draws no op
-        // ordinal, so its in-flight age must not cite one: ordinal 0
-        // belongs to the first real lookup.
-        let space = KeySpace::full();
-        let mut r = StdRng::seed_from_u64(3);
-        let mut net = ChordNetwork::bootstrap(
-            space,
-            space.random_points(&mut r, 64),
-            crate::ChordConfig::default(),
-        );
-        let faults = crate::FaultPlan::none();
-        let live = net.live_ids();
+        // ordinal, so its in-flight age must cite none: ordinal 0
+        // belongs to the live origin's lookup.
+        let net = scored_ring(4);
+        let dead = net
+            .node_ids()
+            .into_iter()
+            .find(|&id| !net.node(id).is_alive());
         let mut engine = LookupEngine::new(EngineConfig::default());
-        engine.submit(&net, live[0], Point::new(r.gen()));
-        engine.drain(&net, &faults);
-        net.crash(live[1]);
-        engine.submit(&net, live[1], Point::new(r.gen()));
-        engine.drain(&net, &faults);
+        engine.submit(&net, net.live_ids()[0], Point::new(7));
+        engine.submit(&net, dead.expect("the ring has crashes"), Point::new(7));
+        engine.drain(&net, &crate::FaultPlan::none());
 
         let done = engine.completions();
-        let age = done[0].completed_at - done[0].submitted_at;
-        assert!(age.ticks() > 0);
-        assert_eq!(done[1].result, Err(LookupError::StartDead));
+        assert_eq!(done[0].result, Err(LookupError::StartDead));
+        let age = (done[1].completed_at - done[1].submitted_at).ticks();
         let hist = net
             .metrics()
             .recorder()
@@ -779,6 +772,6 @@ mod tests {
             .iter()
             .map(|e| (e.value, e.trace_id))
             .collect();
-        assert_eq!(cited, [(age.ticks(), 0)]);
+        assert_eq!(cited, [(age, 0)]);
     }
 }

@@ -166,28 +166,24 @@ pub(crate) enum HopOutcome {
     Failed(LookupError),
 }
 
-/// The attempt accounting of one lookup, shared by the sync walk and the
-/// async [`engine`](crate::engine). Both drive it through
+/// One lookup's attempt accounting, shared by the sync walk and the async
+/// [`engine`](crate::engine) through
 /// [`open_attempt`](ChordNetwork::open_attempt),
 /// [`step_attempt`](ChordNetwork::step_attempt) and
-/// [`close_attempt`](ChordNetwork::close_attempt), so every attempt's
-/// messages, ticks, spans and counters are charged once, the same way,
-/// whichever driver routes it.
+/// [`close_attempt`](ChordNetwork::close_attempt): each attempt is charged
+/// once, the same way, whichever driver routes it.
 pub(crate) struct Attempt {
-    /// The lookup's origin.
     pub(crate) from: NodeId,
-    /// The point being looked up.
     pub(crate) target: Point,
     /// 1-based number of the open (or last) attempt; 0 before the first.
     pub(crate) number: u8,
-    /// Op ordinal of the last attempt that got past the origin check —
-    /// the id its exemplars and trace carry. `None` while no attempt has.
+    /// Op ordinal of the last attempt past the origin check (the exemplar
+    /// and trace id); `None` while there is none.
     pub(crate) ordinal: Option<u64>,
     /// Cost of the open attempt so far.
     pub(crate) cost: Cost,
-    /// Latency the open attempt burnt probing dead score-demoted
-    /// candidates, charged to `lookup;demoted_skip` rather than
-    /// `lookup;finger_walk`.
+    /// The open attempt's latency burnt on dead score-demoted candidates
+    /// (the `lookup;demoted_skip` span).
     skip: u64,
     /// Hops the open attempt has taken.
     pub(crate) hops: u32,
@@ -197,8 +193,7 @@ pub(crate) struct Attempt {
 }
 
 impl Attempt {
-    /// The state of a lookup from `from` for `target` before its first
-    /// attempt.
+    /// A lookup from `from` for `target`, before its first attempt.
     pub(crate) fn new(from: NodeId, target: Point) -> Attempt {
         Attempt {
             from,
@@ -357,14 +352,12 @@ impl ChordNetwork {
         self.hop_step(st, current, faults, rng)
     }
 
-    /// Closes the open attempt with its `outcome`. Its latency goes to
-    /// the `lookup;finger_walk` span, minus the share burnt on dead
-    /// score-demoted candidates, which goes to `lookup;demoted_skip`; its
-    /// cost is folded into `spent`. A success breaks with the whole
-    /// lookup's cost, a retried one adding 1 to `lookup.fallback_depth`.
-    /// A failure continues while `policy` has attempts left, then breaks
-    /// with the fallback tiers' answer; with no policy it breaks with the
-    /// error.
+    /// Closes the open attempt with its `outcome`: its latency goes to
+    /// the `lookup;finger_walk` and `lookup;demoted_skip` spans, its cost
+    /// into `spent`. A success breaks with the whole lookup's cost (a
+    /// retried one adds 1 to `lookup.fallback_depth`). A failure continues
+    /// while `policy` has attempts left, then breaks with the fallback
+    /// tiers' answer, or at once with the error when there is no policy.
     pub(crate) fn close_attempt<R: Rng + ?Sized>(
         &self,
         st: &mut Attempt,
