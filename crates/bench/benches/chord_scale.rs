@@ -34,7 +34,7 @@ use chord::{
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use keyspace::KeySpace;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Acceptance size for the JSON point.
 const SCALE_N: usize = 100_000;
@@ -336,8 +336,15 @@ fn emit_json_point() -> bool {
 
     // Adaptive peer-score state, with scoring enabled on the full-scale
     // ring (measured last: enabling it changes finger ranking, which
-    // would perturb the lookup figures above).
+    // would perturb the lookup figures above). The score columns grow
+    // only as lookups record scores, so a scored batch of 2,500 lookups
+    // from random live origins runs before the measurement.
     net.enable_adaptive_routing(AdaptiveConfig::default());
+    let live = net.live_ids();
+    for i in 0..2_500 {
+        let from = live[rng.gen_range(0..live.len())];
+        let _ = net.find_successor(from, targets[i % targets.len()], &mut rng);
+    }
     let score_bytes = net.score_bytes() as f64 / SCALE_N as f64;
 
     let row = format!(

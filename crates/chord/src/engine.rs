@@ -438,12 +438,14 @@ impl LookupEngine {
 
         // The hop died while the request was in flight (churn the sync
         // walk cannot see): unless the hop cap ends the attempt first,
-        // the probe costs one timed-out message and reports no progress;
-        // the policy tiers take it from there.
+        // the probe costs one timed-out message and reports no progress,
+        // which ends the attempt's trace; the policy tiers take it from
+        // there.
         if hops <= net.config().max_hops() && !net.node(current).is_alive() {
             p.attempt.cost.messages += 1;
             let d = net.config().latency().sample(&mut p.rng).ticks();
             p.attempt.cost.latency += d;
+            p.attempt.finish_trace(net, TraceOutcome::Unresolved);
             let delay = self.wall_delay(current, d);
             let reply = Message::NextHop {
                 req,
@@ -742,6 +744,47 @@ mod tests {
                 "stagger {stagger}"
             );
         }
+    }
+
+    #[test]
+    fn a_hop_that_dies_in_flight_records_an_unresolved_trace() {
+        // Half the ring crashes while 64 walks are in flight. A walk whose
+        // next hop died fails its only attempt (no policy), and that
+        // attempt must reach the flight recorder as Unresolved, as every
+        // failed attempt of the sync walk does.
+        let space = KeySpace::full();
+        let mut r = StdRng::seed_from_u64(5);
+        let mut net = ChordNetwork::bootstrap(
+            space,
+            space.random_points(&mut r, 256),
+            crate::ChordConfig::default().with_latency(simnet::LatencyModel::Constant(10)),
+        );
+        net.metrics().recorder().set_tracing(true);
+        let faults = crate::FaultPlan::none();
+        let mut engine = LookupEngine::new(EngineConfig::default());
+        let live = net.live_ids();
+        for _ in 0..64 {
+            engine.submit(&net, live[r.gen_range(0..live.len())], Point::new(r.gen()));
+        }
+        engine.run_until(&net, &faults, SimTime::from_ticks(15));
+        for id in live.into_iter().step_by(2) {
+            net.crash(id);
+        }
+        engine.drain(&net, &faults);
+
+        let failed = engine
+            .completions()
+            .iter()
+            .filter(|c| c.result.is_err())
+            .count();
+        let traces = net.metrics().recorder().traces();
+        let unresolved = traces
+            .iter()
+            .filter(|t| t.outcome == TraceOutcome::Unresolved)
+            .count();
+        assert!(failed > 0, "the crash must fail some walks");
+        assert_eq!(traces.len(), 64, "one trace per attempt");
+        assert_eq!(unresolved, failed);
     }
 
     #[test]

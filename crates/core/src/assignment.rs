@@ -16,6 +16,13 @@
 //!   (never move to a different peer), which is what makes truncation
 //!   bias-free in the accepted region.
 //!
+//! So accepted draws are exactly uniform if and only if the truncated scan
+//! keeps all `n·λ` points. [`lost_measure`] is the at-scale form of the
+//! exhaustive check: it counts the points a scan bound drops in closed
+//! form, in `O(n·R)` exact integer steps on any modulus, and matches
+//! [`measure_per_peer`] wherever both run. A reading of 0 certifies that
+//! a configuration is exact on that ring.
+//!
 //! [`Sampler::trial`]: crate::Sampler::trial
 
 use keyspace::{Point, SortedRing};
@@ -94,6 +101,60 @@ pub fn measure_per_peer(ring: &SortedRing, lambda: u64, step_limit: u32) -> Vec<
         counts[owner] += 1;
     }
     counts
+}
+
+/// The ring points that scans bounded by `step_limit` steps drop: `n·λ`
+/// minus the points some peer keeps, computed in closed form rather than
+/// by enumeration.
+///
+/// Let `g_j` be the arc before peer `j` and
+/// `P_k = Σ_{i=1..k} (g_{j+i} − λ)`. A start point in that arc with
+/// `T = d − λ ≥ 0` is accepted at step `k` exactly when `T + P_k < 0`,
+/// so the arc keeps `min(g_j, λ)` points through the SMALL case plus
+/// `min((g_j − λ)⁺, (−min_{k ≤ R} P_k)⁺)` through the scan. Exact in
+/// `i128` for any modulus, at most `n·R` steps: each scan stops once its
+/// arc is fully kept or, as in [`Sampler::trial`](crate::Sampler::trial),
+/// once the remaining steps cannot lower `P` further. A lone peer's scan
+/// wraps onto itself and keeps up to `(R + 1)·λ` points; it loses
+/// nothing.
+///
+/// # Panics
+///
+/// Panics if the ring is empty or `lambda == 0`.
+pub fn lost_measure(ring: &SortedRing, lambda: u64, step_limit: u32) -> u128 {
+    assert!(!ring.is_empty(), "assignment needs at least one peer");
+    assert!(lambda > 0, "lambda must be positive");
+    let space = ring.space();
+    let n = ring.len();
+    let lambda = lambda as i128;
+    // A scan step's arc: 0 on a lone peer, whose scan stays in place.
+    let arc = |i: usize| ring.arc_after(i).to_u128() as i128;
+    let mut kept: i128 = 0;
+    for j in 0..n {
+        // Points whose successor is peer j: all of them on a lone peer.
+        let owned = if n == 1 {
+            space.modulus() as i128
+        } else {
+            arc((j + n - 1) % n)
+        };
+        let need = owned - lambda;
+        if need <= 0 {
+            kept += owned;
+            continue;
+        }
+        // `reach` = (−min P_k)⁺ so far, capped at `need`.
+        let (mut p, mut reach, mut i) = (0i128, 0i128, j);
+        for k in 1..=step_limit as i128 {
+            p += arc(i) - lambda;
+            i = if i + 1 == n { 0 } else { i + 1 };
+            reach = reach.max(-p);
+            if reach >= need || p + reach >= (step_limit as i128 - k) * lambda {
+                break;
+            }
+        }
+        kept += lambda + reach.min(need);
+    }
+    (n as u128 * lambda as u128).saturating_sub(kept as u128)
 }
 
 #[cfg(test)]
@@ -176,6 +237,67 @@ mod tests {
                 Some(rank),
                 "peer point must be owned by its peer (SMALL case, d = 0)"
             );
+        }
+    }
+
+    /// `lost_measure` against enumeration: `n·λ` minus the points
+    /// `measure_per_peer` counts (a lone peer over-keeps, so saturate).
+    fn assert_certificate_matches(r: &SortedRing, lambda: u64, step_limit: u32) -> u128 {
+        let counted: u64 = measure_per_peer(r, lambda, step_limit).iter().sum();
+        let lost = (r.len() as u128 * lambda as u128).saturating_sub(counted as u128);
+        assert_eq!(
+            lost_measure(r, lambda, step_limit),
+            lost,
+            "n = {}, lambda = {lambda}, R = {step_limit}",
+            r.len()
+        );
+        lost
+    }
+
+    #[test]
+    fn lost_measure_matches_enumeration_on_a_fixed_grid() {
+        let modulus = 1u128 << 18;
+        let mut lossy = 0;
+        for seed in 0..6 {
+            let n = 256 >> (seed % 3);
+            let r = ring(modulus, n, seed);
+            for denom in [2u64, 3, 7] {
+                let lambda = (modulus / (denom as u128 * n as u128)) as u64;
+                for step_limit in [1, 2, 4, 8, 34] {
+                    if assert_certificate_matches(&r, lambda, step_limit) > 0 {
+                        lossy += 1;
+                    }
+                }
+            }
+        }
+        // Both outcomes occur, so equality is not vacuous.
+        assert!((1..90).contains(&lossy), "{lossy} of 90 cases lose measure");
+    }
+
+    #[test]
+    fn lone_peer_loses_nothing() {
+        let r = ring(1 << 10, 1, 4);
+        assert_eq!(assert_certificate_matches(&r, 100, 3), 0);
+        // λ above the modulus: the whole ring is kept and the rest lost.
+        assert_eq!(lost_measure(&r, 2000, 3), 2000 - 1024);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn lost_measure_matches_enumeration(
+            bits in 14u32..=18,
+            n in 1usize..=300,
+            denom_index in 0usize..3,
+            step_limit in 1u32..=40,
+            seed in 0u64..1_000_000,
+        ) {
+            let modulus = 1u128 << bits;
+            let denom = [2u128, 3, 7][denom_index];
+            let r = ring(modulus, n, seed);
+            let lambda = (modulus / (denom * n as u128)) as u64;
+            assert_certificate_matches(&r, lambda, step_limit);
         }
     }
 

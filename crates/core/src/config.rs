@@ -10,7 +10,12 @@ pub const DEFAULT_LAMBDA_DENOMINATOR: u64 = 7;
 /// Theorem 7 shows each trial succeeds with probability `n·λ = Ω(1)`
 /// (at worst `≈ 1/147` with the loosest legal estimate), so 4096 trials
 /// fail with probability below `(1 − 1/147)^4096 < 10^{-12}` — if the cap
-/// is ever hit, the configuration is wrong, not unlucky.
+/// is ever hit, the configuration is wrong, not unlucky. The inflation
+/// [`Estimate::to_sampler_config`](crate::Estimate::to_sampler_config)
+/// derives from the probe count stays below `1/γ₁` whenever the walk
+/// takes at least `1.61 ln n̂` probes, which the default `c₁` gives unless
+/// the first arc alone spans almost the whole ring, so the same worst
+/// case holds.
 pub const DEFAULT_MAX_TRIALS: u32 = 4096;
 
 /// Error from an inconsistent [`SamplerConfig`].
@@ -58,9 +63,13 @@ impl std::error::Error for ConfigError {}
 ///
 /// In deployment, `n_upper` comes from
 /// [`Estimate::to_sampler_config`](crate::Estimate::to_sampler_config),
-/// which divides the §2 estimate by its proven lower ratio `γ₁ = 2/7`.
-/// Tests and experiments that know the true `n` use
-/// [`SamplerConfig::new`] directly.
+/// which inflates the §2 estimate by the upper `n̂⁻²`-quantile of its own
+/// probe count's error (1.2–1.6× at `n = 10⁶`) and bounds the scan by
+/// [`chernoff_step_bound`](SamplerConfig::chernoff_step_bound). The
+/// paper's constants stay available: [`SamplerConfig::from_raw_estimate`]
+/// with `γ₁ = 2/7` divides an estimate by its proven lower ratio, and
+/// tests and experiments that know the true `n` use [`SamplerConfig::new`]
+/// directly; both keep `R = ⌈6 ln n′⌉`.
 ///
 /// # Example
 ///
@@ -200,6 +209,36 @@ impl SamplerConfig {
         let r = (6.0 * (self.n_upper as f64).ln()).ceil();
         (r as u32).max(1)
     }
+
+    /// Lemma 4's scan bound at the load this configuration allows:
+    /// `R = ⌈3 ln n′ / I(1/d)⌉`, where `I(ρ) = ρ − 1 − ln ρ`, `n′` is
+    /// `n_upper` and `d` the `λ` denominator; at least 1 and at most `n′`.
+    /// At `d = 7`, `I(1/7) ≈ 1.089`, so `R ≈ 2.8 ln n′` instead of the
+    /// paper's `6 ln n′`.
+    ///
+    /// With `n ≤ n′` peers the load `ρ = n·λ/M` is at most `1/d`. A
+    /// truncated scan loses points only if some run of `k > R`
+    /// consecutive arcs sums to less than `k·λ`, which by the Chernoff
+    /// bound on the Gamma lower tail has probability at most `e^{−k·I(ρ)}`
+    /// per start. A union bound over the peers puts the chance of any
+    /// loss near `n′⁻²`. A scan of `n′ ≥ n` steps has looped the ring,
+    /// and a loop raises `T` by `M − n·λ ≥ 0`, so `n′` steps always
+    /// suffice, which also bounds `d = 1`, where `I(1) = 0`.
+    /// [`assignment::lost_measure`](crate::assignment::lost_measure)
+    /// certifies the bound exactly on a given ring.
+    ///
+    /// [`step_bound`](SamplerConfig::step_bound) ignores it unless set
+    /// through [`with_step_limit`](SamplerConfig::with_step_limit), as
+    /// [`Estimate::to_sampler_config`](crate::Estimate::to_sampler_config)
+    /// does.
+    pub fn chernoff_step_bound(&self) -> u32 {
+        let rho = 1.0 / self.lambda_denominator as f64;
+        let rate = rho - 1.0 - rho.ln();
+        let n_upper = self.n_upper as f64;
+        // `f64::min` drops the NaN of `0/0` (n′ = 1, d = 1).
+        let r = (3.0 * n_upper.ln() / rate).ceil().min(n_upper);
+        (r.min(u32::MAX as f64) as u32).max(1)
+    }
 }
 
 impl fmt::Display for SamplerConfig {
@@ -240,6 +279,31 @@ mod tests {
         assert_eq!(SamplerConfig::new(1000).step_bound(), 42); // 6 ln 1000 ≈ 41.45
         assert_eq!(SamplerConfig::new(1).step_bound(), 1); // floor at 1
         assert_eq!(SamplerConfig::new(1000).with_step_limit(7).step_bound(), 7);
+    }
+
+    #[test]
+    fn chernoff_step_bound_is_three_ln_n_over_the_rate() {
+        // I(1/7) = 1/7 − 1 + ln 7 ≈ 1.0888; 3 ln 1000 / 1.0888 ≈ 19.03.
+        assert_eq!(SamplerConfig::new(1000).chernoff_step_bound(), 20);
+        // 3 ln 10⁶ / 1.0888 ≈ 38.07, against the paper's 83.
+        assert_eq!(SamplerConfig::new(1_000_000).chernoff_step_bound(), 39);
+        // Grows with n′ and as d falls; n′ = 1 still scans one step.
+        let r = |n: u64, d: u64| {
+            SamplerConfig::new(n)
+                .with_lambda_denominator(d)
+                .chernoff_step_bound()
+        };
+        assert!(r(1000, 7) < r(1_000_000, 7));
+        assert!(r(1000, 7) < r(1000, 3) && r(1000, 3) < r(1000, 2));
+        assert_eq!(r(1, 7), 1);
+        // d = 1 leaves no Chernoff margin: the bound is a full loop, n′.
+        assert_eq!(r(1000, 1), 1000);
+        assert_eq!(r(1, 1), 1);
+        // It does not replace the paper's bound unless applied.
+        let cfg = SamplerConfig::new(1000);
+        assert_eq!(cfg.step_bound(), 42);
+        let applied = cfg.with_step_limit(cfg.chernoff_step_bound());
+        assert_eq!(applied.step_bound(), 20);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! These tests enumerate *every* point of small rings and assert the two
 //! agree point-by-point (so the short-circuit provably changes nothing),
 //! and that the resulting partition gives every peer exactly `λ` points.
+//! At scale, `assignment::lost_measure` certifies the same in closed form.
 
 use keyspace::{KeySpace, Point, SortedRing};
-use peer_sampling::{assignment, OracleDht, Sampler, SamplerConfig, TrialOutcome};
+use peer_sampling::{
+    assignment, NetworkSizeEstimator, OracleDht, Sampler, SamplerConfig, TrialOutcome,
+};
 use rand::SeedableRng;
 
 fn small_ring(modulus: u128, n: usize, seed: u64) -> SortedRing {
@@ -125,5 +128,38 @@ fn sampled_frequencies_match_exhaustive_partition() {
             (c as f64 - expected).abs() < expected * 0.1,
             "peer {peer}: {c} vs expected {expected}"
         );
+    }
+}
+
+/// The constants `Estimate::to_sampler_config` derives from the probe
+/// count (`n′` from the estimate's own error law, `R` from the Chernoff
+/// bound at that load) are exact on real rings, with margin: `n′ ≥ n`, the
+/// certificate reads 0 at `R`, and every supplementation chain already
+/// fits in `⌊R/2⌋` steps.
+#[test]
+fn derived_constants_lose_no_measure() {
+    let space = KeySpace::full();
+    for n in [1_000usize, 10_000, 100_000] {
+        for seed in 0..3u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 1_000 + n as u64);
+            let dht = OracleDht::new(SortedRing::new(space, space.random_points(&mut rng, n)));
+            let n = dht.len();
+            for origin in [0, n / 3, n / 2, n - 1] {
+                let est = NetworkSizeEstimator::default()
+                    .estimate(&dht, origin)
+                    .expect("oracle");
+                let config = est.to_sampler_config();
+                let lambda = config.lambda(space).expect("full ring");
+                let r = config.step_bound();
+                let at = format!("n {n}, seed {seed}, origin {origin}: {config}");
+                assert!(config.n_upper() >= n as u64, "{at}");
+                assert_eq!(assignment::lost_measure(dht.ring(), lambda, r), 0, "{at}");
+                assert_eq!(
+                    assignment::lost_measure(dht.ring(), lambda, r / 2),
+                    0,
+                    "{at}: a chain needs more than half of R"
+                );
+            }
+        }
     }
 }
