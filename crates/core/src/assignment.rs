@@ -135,7 +135,7 @@ pub fn lost_measure(ring: &SortedRing, lambda: u64, step_limit: u32) -> u128 {
         let owned = if n == 1 {
             space.modulus() as i128
         } else {
-            arc((j + n - 1) % n)
+            ring.arc_before(j).to_u128() as i128
         };
         let need = owned - lambda;
         if need <= 0 {
