@@ -363,12 +363,12 @@ impl ChordNetwork {
     /// already occupied by a live node are skipped. Returns the ids of the
     /// newly created nodes, in clockwise point order.
     ///
-    /// Fingers are built per node by walking the ~log n ownership runs of
-    /// the table directly (each finger bit's target either stays inside
-    /// the current successor's arc or jumps to a new one at a predictable
-    /// bit), so the whole rebuild does O(log n) binary searches per node
-    /// rather than one per finger bit — the difference between seconds
-    /// and minutes at n = 10⁶.
+    /// Fingers are built per node as the ~log n ownership runs of its
+    /// table (each finger bit's target either stays inside the current
+    /// successor's arc or jumps to a new one at a predictable bit). Nodes
+    /// are visited in ring order, so each bit's target only moves
+    /// clockwise: one forward-only cursor per bit finds every run's owner
+    /// without a search, going at most twice around the sorted entries.
     pub fn bulk_join(&mut self, mut points: Vec<Point>) -> Vec<NodeId> {
         points.sort_unstable();
         points.dedup();
@@ -412,6 +412,7 @@ impl ChordNetwork {
         let mut succs: Vec<NodeId> = Vec::with_capacity(r);
         let mut run_starts: Vec<u8> = Vec::with_capacity(self.finger_bits);
         let mut run_vals: Vec<u32> = Vec::with_capacity(self.finger_bits);
+        let mut cursors = [0usize; 64];
         for (rank, &(point, id)) in order.iter().enumerate() {
             succs.clear();
             for k in 1..=r.min(n.saturating_sub(1)).max(1) {
@@ -420,7 +421,7 @@ impl ChordNetwork {
             let pred = order[(rank + n - 1) % n].1;
             run_starts.clear();
             run_vals.clear();
-            self.fill_finger_runs(point, &order, &mut run_starts, &mut run_vals);
+            self.fill_finger_runs(point, &order, &mut cursors, &mut run_starts, &mut run_vals);
             // Raw column writes: the converged ledger is rebuilt wholesale
             // below, far cheaper than n · (log n) funnel re-checks.
             self.arena.set_successors(id.0, &succs);
@@ -445,31 +446,50 @@ impl ChordNetwork {
 
     /// Appends the finger table of `origin` as ownership runs: value `v`
     /// from bit `b` onward until the target distance `2^bit` outgrows
-    /// `v`'s arc. `order` must be the live entries sorted by point.
+    /// `v`'s arc. `order` must be the live entries sorted by point, and
+    /// successive calls must pass their origins in that order, so that
+    /// every bit's target only grows. `cursors[bit]` then only moves
+    /// forward, through a doubled view of `order` in which index `k ≥ n`
+    /// is `order[k − n]` one turn (`M`) later. It stops at the first entry
+    /// at or past the target, so among co-located entries at the one with
+    /// the smallest id, as the ground-truth index resolves ties.
     fn fill_finger_runs(
         &self,
         origin: Point,
         order: &[(Point, NodeId)],
+        cursors: &mut [usize; 64],
         starts: &mut Vec<u8>,
         vals: &mut Vec<u32>,
     ) {
         let n = order.len();
+        let modulus = self.space.modulus();
+        let origin = origin.get() as u128;
         let mut bit = 0usize;
         while bit < self.finger_bits {
-            let target = self.finger_target(origin, bit);
-            let pos = order.partition_point(|&(p, _)| p < target);
-            let (sp, sid) = order[pos % n];
+            // The unreduced target stays below the origin's own next turn,
+            // origin + M, so the cursor never passes index 2n − 1.
+            let target = origin + self.finger_offset(bit) as u128;
+            let k = &mut cursors[bit];
+            let (owner, at) = loop {
+                let (i, turn) = if *k < n { (*k, 0) } else { (*k - n, modulus) };
+                let (p, id) = order[i];
+                let at = p.get() as u128 + turn;
+                if at >= target {
+                    break (id, at);
+                }
+                *k += 1;
+            };
             starts.push(bit as u8);
-            vals.push(sid.0 as u32);
-            let d = self.space.distance(origin, sp).get();
-            if d == 0 {
+            vals.push(owner.0 as u32);
+            let d = at - origin;
+            if d == modulus {
                 // Wrapped all the way back to the origin: every remaining
                 // (larger) target also lands in the wrap arc.
                 break;
             }
             // The next distinct successor appears at the first bit whose
             // target distance 2^bit exceeds d.
-            bit = (64 - d.leading_zeros()) as usize;
+            bit = (128 - d.leading_zeros()) as usize;
         }
     }
 
@@ -671,8 +691,16 @@ impl ChordNetwork {
 
     /// The point `2^bit` clockwise of `origin` — finger `bit`'s target.
     pub fn finger_target(&self, origin: Point, bit: usize) -> Point {
-        let offset = (1u128 << bit) % self.space.modulus();
-        self.space.add(origin, Distance::new(offset as u64))
+        self.space
+            .add(origin, Distance::new(self.finger_offset(bit)))
+    }
+
+    /// Finger `bit`'s clockwise distance `2^bit`. `finger_bits` is the bit
+    /// length of `M − 1`, so every finger bit's offset is already below
+    /// `M` and needs no reduction.
+    fn finger_offset(&self, bit: usize) -> u64 {
+        debug_assert!(bit < self.finger_bits, "finger bit {bit} out of range");
+        1u64 << bit
     }
 
     // ---- ground truth (oracle views used by bootstrap, repair and tests)
@@ -1730,6 +1758,7 @@ impl fmt::Debug for ChordNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{Just, Strategy};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -1808,21 +1837,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bulk_join_fingers_match_per_bit_index_queries() {
-        // The run-walking finger builder must agree with the seed's
-        // one-query-per-bit construction on every bit of every node.
-        let net = bootstrap(97, 15);
-        for id in net.live_ids() {
-            let me = net.node(id).point();
-            for bit in 0..net.finger_bits() {
-                let truth = net.truth_successor_id(net.finger_target(me, bit));
-                assert_eq!(
-                    net.node(id).fingers().get(bit),
-                    truth,
-                    "{id} bit {bit} of {me}"
-                );
+    /// How a [`FingerBuild`] reaches its last `bulk_join`.
+    #[derive(Debug, Clone, Copy)]
+    enum BuildHistory {
+        FromEmpty,
+        /// Into a ring that lost about a third of its nodes to crashes.
+        AfterCrashes,
+        /// After a protocol join at an occupied point made a co-located
+        /// pair, whose fingers must resolve to the smaller id.
+        AfterTwinJoin,
+    }
+
+    /// A ring of `n` distinct points on `ℤ_modulus`, bulk-built along
+    /// `history`.
+    #[derive(Debug, Clone)]
+    struct FingerBuild {
+        modulus: u128,
+        n: usize,
+        seed: u64,
+        history: BuildHistory,
+    }
+
+    impl FingerBuild {
+        fn build(&self) -> ChordNetwork {
+            let space = KeySpace::with_modulus(self.modulus).unwrap();
+            let mut r = rand::rngs::StdRng::seed_from_u64(self.seed);
+            let mut points = space.random_distinct_points(&mut r, self.n);
+            let config = ChordConfig::default();
+            match self.history {
+                BuildHistory::FromEmpty => ChordNetwork::bootstrap(space, points, config),
+                BuildHistory::AfterCrashes => {
+                    let late = points.split_off(self.n / 2 + 1);
+                    let mut net = ChordNetwork::bootstrap(space, points, config);
+                    for id in net.live_ids().into_iter().skip(1).step_by(3) {
+                        net.crash(id);
+                    }
+                    net.bulk_join(late);
+                    net
+                }
+                BuildHistory::AfterTwinJoin => {
+                    let mut net = ChordNetwork::bootstrap(space, points, config);
+                    let ids = net.live_ids();
+                    let occupied = net.node(ids[ids.len() / 2]).point();
+                    net.join(occupied, ids[0], &mut r).unwrap();
+                    net.bulk_join(space.random_points(&mut r, self.n / 4));
+                    net
+                }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn bulk_join_fingers_match_per_bit_index_queries(
+            build in proptest::prop_oneof![
+                // The fixed case this property grew from: 97 random points
+                // on the full ring.
+                Just(FingerBuild {
+                    modulus: 1 << 64,
+                    n: 97,
+                    seed: 15,
+                    history: BuildHistory::FromEmpty,
+                }),
+                (0usize..7, 0usize..300, 0u64..1_000_000, 0usize..3).prop_map(
+                    |(m, n, seed, h)| {
+                        let modulus = [2, 3, 64, 1000, 1 << 16, (1 << 20) + 7, 1 << 64][m];
+                        let history = [
+                            BuildHistory::FromEmpty,
+                            BuildHistory::AfterCrashes,
+                            BuildHistory::AfterTwinJoin,
+                        ][h];
+                        let n = 1 + n % modulus.min(300) as usize;
+                        FingerBuild { modulus, n, seed, history }
+                    }
+                ),
+            ],
+        ) {
+            // The run-sweeping finger builder must agree with one
+            // ground-truth index query per bit on every bit of every node.
+            let net = build.build();
+            let m = build.modulus;
+            for id in net.live_ids() {
+                let me = net.node(id).point();
+                for bit in 0..net.finger_bits() {
+                    let target = net.finger_target(me, bit);
+                    proptest::prop_assert_eq!(
+                        target.get() as u128,
+                        (me.get() as u128 + (1u128 << bit)) % m
+                    );
+                    proptest::prop_assert_eq!(
+                        net.node(id).fingers().get(bit),
+                        net.truth_successor_id(target),
+                        "{:?}: {} bit {} of {}", build, id, bit, me
+                    );
+                }
+            }
+            let report = net.verify_ring();
+            proptest::prop_assert_eq!(report, net.verify_ring_full(), "{:?}", build);
+            proptest::prop_assert_eq!(report.finger_accuracy, 1.0);
+            // Strict successor and predecessor ties resolve by id while the
+            // rebuilt lists follow ring order, so a co-located pair is
+            // never converged; every other build is.
+            let twins = matches!(build.history, BuildHistory::AfterTwinJoin);
+            proptest::prop_assert!(twins || report.is_converged(), "{:?}: {:?}", build, report);
         }
     }
 

@@ -64,12 +64,11 @@ impl std::error::Error for ConfigError {}
 /// In deployment, `n_upper` comes from
 /// [`Estimate::to_sampler_config`](crate::Estimate::to_sampler_config),
 /// which inflates the §2 estimate by the upper `n̂⁻²`-quantile of its own
-/// probe count's error (1.2–1.6× at `n = 10⁶`) and bounds the scan by
-/// [`chernoff_step_bound`](SamplerConfig::chernoff_step_bound). The
-/// paper's constants stay available: [`SamplerConfig::from_raw_estimate`]
-/// with `γ₁ = 2/7` divides an estimate by its proven lower ratio, and
-/// tests and experiments that know the true `n` use [`SamplerConfig::new`]
-/// directly; both keep `R = ⌈6 ln n′⌉`.
+/// probe count's error (1.2–1.6× at `n = 10⁶`, where the paper's `1/γ₁`
+/// with Lemma 3's `γ₁ = 2/7` is 3.5×) and bounds the scan by
+/// [`chernoff_step_bound`](SamplerConfig::chernoff_step_bound). Tests and
+/// experiments that know the true `n` use [`SamplerConfig::new`]
+/// directly, with the paper's `R = ⌈6 ln n′⌉`.
 ///
 /// # Example
 ///
@@ -105,26 +104,6 @@ impl SamplerConfig {
             max_trials: DEFAULT_MAX_TRIALS,
             step_limit: None,
         }
-    }
-
-    /// Builds a config from a raw `(γ₁, γ₂)`-approximate size estimate by
-    /// inflating it to an upper bound: `n_upper = ⌈n̂ / γ₁⌉`.
-    ///
-    /// With the §2 estimator, `γ₁ = 2/7` (Lemma 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_hat` or `gamma1` is not positive and finite.
-    pub fn from_raw_estimate(n_hat: f64, gamma1: f64) -> SamplerConfig {
-        assert!(
-            n_hat.is_finite() && n_hat > 0.0,
-            "estimate must be positive, got {n_hat}"
-        );
-        assert!(
-            gamma1.is_finite() && gamma1 > 0.0,
-            "gamma1 must be positive, got {gamma1}"
-        );
-        SamplerConfig::new((n_hat / gamma1).ceil().max(1.0) as u64)
     }
 
     /// Overrides the `λ` denominator (the paper's 7). Smaller values give
@@ -307,15 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_estimate_inflates_by_gamma() {
-        // Raw estimate 200 with γ₁ = 2/7 → n_upper = 700.
-        let cfg = SamplerConfig::from_raw_estimate(200.0, 2.0 / 7.0);
-        assert_eq!(cfg.n_upper(), 700);
-        // Tiny estimates floor at 1.
-        assert_eq!(SamplerConfig::from_raw_estimate(0.1, 1.0).n_upper(), 1);
-    }
-
-    #[test]
     fn builders_override_fields() {
         let cfg = SamplerConfig::new(10)
             .with_lambda_denominator(5)
@@ -329,12 +299,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_population_panics() {
         let _ = SamplerConfig::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_estimate_panics() {
-        let _ = SamplerConfig::from_raw_estimate(f64::NAN, 1.0);
     }
 
     #[test]

@@ -4,14 +4,6 @@ use stats::gamma::reg_upper_gamma;
 
 use crate::{Cost, Dht, DhtError, SamplerConfig};
 
-/// Proven lower approximation ratio of the §2 estimator (Lemma 3):
-/// `n̂ ≥ (2/7 − ε) n` with high probability.
-pub const ESTIMATE_GAMMA_LOWER: f64 = 2.0 / 7.0;
-
-/// Proven upper approximation ratio of the §2 estimator (Lemma 3):
-/// `n̂ ≤ (6 + ε) n` with high probability.
-pub const ESTIMATE_GAMMA_UPPER: f64 = 6.0;
-
 /// Result of the *Estimate n* algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
@@ -40,9 +32,8 @@ impl Estimate {
     /// `Gamma(s, 1)/s`. The estimate is inflated by that law's upper
     /// `n̂⁻²`-quantile `x`: `n′ = ⌈n̂·x/s⌉`, never below `n̂`. At `n = 10⁶`
     /// with the default `c₁`, `n′/n` is 1.2–1.6, where the paper's
-    /// `1/γ₁` ([`ESTIMATE_GAMMA_LOWER`], Lemma 3's proof constant, applied
-    /// by [`SamplerConfig::from_raw_estimate`]) gives about 3.5. Each draw
-    /// then needs about `7·n′/n ≈ 9.5` trials instead of 25.
+    /// `1/γ₁` (Lemma 3's proof constant `γ₁ = 2/7`) gives about 3.5. Each
+    /// draw then needs about `7·n′/n ≈ 9.5` trials instead of 25.
     pub fn to_sampler_config(&self) -> SamplerConfig {
         if self.exact {
             return SamplerConfig::new(self.n_hat.round().max(1.0) as u64);

@@ -68,7 +68,7 @@ pub use batch::{Batch, DistinctBatch, DistinctError};
 pub use config::{ConfigError, SamplerConfig, DEFAULT_LAMBDA_DENOMINATOR};
 pub use cost::Cost;
 pub use dht::{Dht, DhtError, Resolved};
-pub use estimate::{Estimate, NetworkSizeEstimator, ESTIMATE_GAMMA_LOWER, ESTIMATE_GAMMA_UPPER};
+pub use estimate::{Estimate, NetworkSizeEstimator};
 pub use faulty::FaultyDht;
 pub use oracle::OracleDht;
 pub use sampler::{Sample, SampleError, Sampler, TrialOutcome};
