@@ -22,7 +22,7 @@
 //!
 //! The raw report JSON rides along in a
 //! `<script type="application/json" id="payload">` block (validated by
-//! the CI `dash-smoke` job), so the dashboard doubles as a viewer-friendly
+//! the CI `domain-smoke` job), so the dashboard doubles as a viewer-friendly
 //! envelope of the machine-readable data. Rendering is a pure function of
 //! the input bytes — no clocks, no randomness, no map reordering — so the
 //! same report renders byte-identically forever.

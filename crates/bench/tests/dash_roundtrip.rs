@@ -2,7 +2,7 @@
 //! rendered through `apps::dash`, must be byte-identical across renders,
 //! embed the machine-readable payload intact, and surface the run's
 //! actual tail exemplars and span costs — the acceptance gates behind the
-//! CI `dash-smoke` job.
+//! dashboard steps of the CI `domain-smoke` job.
 
 use scenarios::{FailureDomainSpec, ScenarioSpec, Sweep};
 

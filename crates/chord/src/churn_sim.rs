@@ -4,8 +4,7 @@ use keyspace::KeySpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::churn::{ChurnConfig, ChurnKind};
-use simnet::{DomainMap, EventQueue, SimDuration, SimTime};
-use std::collections::HashMap;
+use simnet::{EventQueue, SimDuration, SimTime};
 
 use crate::maintenance::MaintenanceBudget;
 use crate::network::{ChordNetwork, NodeId};
@@ -32,26 +31,14 @@ pub struct ChurnReport {
     pub crashes: u64,
     /// Maintenance rounds executed.
     pub maintenance_rounds: u64,
-    /// Correlated domain-crash events applied (each kills a whole
-    /// domain's live membership atomically).
-    pub domain_crashes: u64,
-    /// Domain-heal events applied (each rejoins a downed domain).
-    pub domain_heals: u64,
 }
 
 impl fmt::Display for ChurnReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} joins ({} failed), {} leaves, {} crashes, {} maintenance rounds, \
-             {} domain crashes, {} domain heals",
-            self.joins,
-            self.failed_joins,
-            self.leaves,
-            self.crashes,
-            self.maintenance_rounds,
-            self.domain_crashes,
-            self.domain_heals
+            "{} joins ({} failed), {} leaves, {} crashes, {} maintenance rounds",
+            self.joins, self.failed_joins, self.leaves, self.crashes, self.maintenance_rounds
         )
     }
 }
@@ -102,16 +89,9 @@ pub struct ChurnSimulation {
     /// When set, maintenance ticks run the batched incremental round
     /// under this budget instead of the classic full O(n) round.
     budget: Option<MaintenanceBudget>,
-    timeline: Vec<(SimTime, usize)>,
     /// When attached, each maintenance tick first closes a telemetry
     /// window and lets the watchdog observe the *pre-repair* overlay.
     watchdog: Option<Watchdog>,
-    /// Resolves domain-crash/heal events to concrete ring members.
-    /// Without one, correlated events in the schedule are skipped.
-    domain_map: Option<DomainMap>,
-    /// Ring points a domain crash took down, per domain, so the healing
-    /// edge rejoins exactly the members that failed.
-    downed: HashMap<u32, Vec<keyspace::Point>>,
 }
 
 impl ChurnSimulation {
@@ -207,20 +187,8 @@ impl ChurnSimulation {
             report: ChurnReport::default(),
             replication: None,
             budget: None,
-            timeline: Vec::new(),
             watchdog: None,
-            domain_map: None,
-            downed: HashMap::new(),
         }
-    }
-
-    /// Attaches the failure-domain map that resolves the schedule's
-    /// [`ChurnKind::DomainCrash`]/[`ChurnKind::DomainHeal`] events to
-    /// concrete ring members. A schedule carrying domain events without a
-    /// map skips them (no map, no correlated geometry).
-    pub fn with_domain_map(mut self, map: DomainMap) -> ChurnSimulation {
-        self.domain_map = Some(map);
-        self
     }
 
     /// Enables storage anti-entropy: every maintenance tick also runs one
@@ -265,11 +233,6 @@ impl ChurnSimulation {
         self
     }
 
-    /// The attached watchdog, if any.
-    pub fn watchdog(&self) -> Option<&Watchdog> {
-        self.watchdog.as_ref()
-    }
-
     /// Detaches and returns the watchdog (e.g. to keep observing the
     /// overlay through a post-churn measurement phase after
     /// [`ChurnSimulation::into_network`]).
@@ -299,27 +262,12 @@ impl ChurnSimulation {
         self.net
     }
 
-    /// Tally so far.
-    pub fn report(&self) -> ChurnReport {
-        self.report
-    }
-
-    /// The live-population timeline: one `(time, live_count)` point per
-    /// membership event, for post-hoc analysis of churn runs.
-    pub fn population_timeline(&self) -> &[(SimTime, usize)] {
-        &self.timeline
-    }
-
     /// Processes events up to and including time `until`. Returns `false`
     /// when the queue is exhausted.
     pub fn run_until(&mut self, until: SimTime) -> bool {
         while let Some((time, event)) = self.queue.pop_due(until) {
             self.clock = time;
-            let is_membership = matches!(event, Event::Churn(_));
             self.handle(event);
-            if is_membership {
-                self.timeline.push((time, self.net.live_len()));
-            }
         }
         if self.clock < until {
             self.clock = until;
@@ -361,44 +309,6 @@ impl ChurnSimulation {
                     self.net.crash(victim);
                     self.report.crashes += 1;
                 }
-            }
-            Event::Churn(ChurnKind::DomainCrash { domain }) => {
-                let Some(map) = self.domain_map.as_ref() else {
-                    return;
-                };
-                // The whole domain fails atomically (one power event, not
-                // n independent ones); the last live node overall always
-                // survives so the overlay cannot die out entirely.
-                let victims: Vec<NodeId> = self
-                    .net
-                    .live_slice()
-                    .iter()
-                    .copied()
-                    .filter(|&id| map.contains(domain, self.net.node(id).point().get()))
-                    .collect();
-                let mut points = Vec::with_capacity(victims.len());
-                for v in victims {
-                    if self.net.live_len() < 2 {
-                        break;
-                    }
-                    points.push(self.net.node(v).point());
-                    self.net.crash(v);
-                }
-                self.downed.entry(domain).or_default().extend(points);
-                self.report.domain_crashes += 1;
-            }
-            Event::Churn(ChurnKind::DomainHeal { domain }) => {
-                let points = self.downed.remove(&domain).unwrap_or_default();
-                for point in points {
-                    match self.random_live_node() {
-                        Some(via) => match self.net.join(point, via, &mut self.rng) {
-                            Ok(_) => self.report.joins += 1,
-                            Err(_) => self.report.failed_joins += 1,
-                        },
-                        None => self.report.failed_joins += 1,
-                    }
-                }
-                self.report.domain_heals += 1;
             }
             Event::Maintenance => {
                 if let Some(watchdog) = self.watchdog.as_mut() {
@@ -608,86 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn domain_partition_crashes_and_heals_a_correlated_set() {
-        use simnet::churn::{ChurnPhase, ChurnSchedule};
-        // A quiet background so the domain outage dominates the
-        // membership trajectory.
-        let schedule = ChurnSchedule::new(vec![ChurnPhase {
-            duration: SimDuration::from_ticks(20_000),
-            arrivals_per_1000_ticks: 0.1,
-            mean_lifetime: SimDuration::from_ticks(1_000_000),
-            crash_fraction: 0.0,
-        }])
-        .with_domain_partition(
-            2,
-            SimTime::from_ticks(5_000),
-            SimDuration::from_ticks(8_000),
-        );
-        let map = DomainMap::sectors(4, KeySpace::full().modulus());
-        let mut s = ChurnSimulation::with_schedule(
-            128,
-            ChordConfig::default(),
-            &schedule,
-            SimDuration::from_ticks(500),
-            11,
-        )
-        .with_domain_map(map.clone());
-        let before = s.network().live_len();
-        s.run_until(SimTime::from_ticks(6_000));
-        let during = s.network().live_len();
-        // ~1/4 of a uniform ring lives in one of 4 sectors.
-        assert!(
-            during < before - before / 8,
-            "domain crash must remove a correlated set ({before} -> {during})"
-        );
-        assert!(
-            s.network()
-                .live_ids()
-                .iter()
-                .all(|&id| !map.contains(2, s.network().node(id).point().get())),
-            "no live member of the crashed domain may remain"
-        );
-        let report = s.run_to_end();
-        assert_eq!(report.domain_crashes, 1);
-        assert_eq!(report.domain_heals, 1);
-        let after = s.network().live_len();
-        assert!(
-            after > during,
-            "heal must rejoin the domain ({during} -> {after})"
-        );
-        assert!(
-            s.network()
-                .live_ids()
-                .iter()
-                .any(|&id| map.contains(2, s.network().node(id).point().get())),
-            "healed domain must have live members again"
-        );
-    }
-
-    #[test]
-    fn domain_events_without_a_map_are_skipped() {
-        use simnet::churn::{ChurnPhase, ChurnSchedule};
-        let phase = ChurnPhase {
-            duration: SimDuration::from_ticks(10_000),
-            arrivals_per_1000_ticks: 0.1,
-            mean_lifetime: SimDuration::from_ticks(1_000_000),
-            crash_fraction: 0.0,
-        };
-        let schedule =
-            ChurnSchedule::new(vec![phase]).with_domain_crash(0, SimTime::from_ticks(2_000));
-        let mut s = ChurnSimulation::with_schedule(
-            32,
-            ChordConfig::default(),
-            &schedule,
-            SimDuration::from_ticks(500),
-            12,
-        );
-        let report = s.run_to_end();
-        assert_eq!(report.domain_crashes, 0, "no map, no correlated crash");
-        assert_eq!(s.network().live_len(), 32 + report.joins as usize);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one initial peer")]
     fn zero_initial_peers_panics() {
         let _ = ChurnSimulation::new(
@@ -705,25 +535,5 @@ mod tests {
         assert!(format!("{s:?}").contains("live"));
         let report = s.run_to_end();
         assert!(report.to_string().contains("joins"));
-    }
-
-    #[test]
-    fn population_timeline_tracks_membership() {
-        let mut s = sim(8);
-        let report = s.run_to_end();
-        let timeline = s.population_timeline();
-        let membership_events = report.joins + report.failed_joins + report.leaves
-            + report.crashes
-            // Leaves/crashes skipped on a singleton ring still count as
-            // churn events in the timeline only when applied; failed
-            // joins are recorded too.
-            ;
-        assert!(!timeline.is_empty());
-        assert!(timeline.len() as u64 <= membership_events + 16);
-        // Times are non-decreasing and the final point matches the net.
-        for pair in timeline.windows(2) {
-            assert!(pair[0].0 <= pair[1].0);
-        }
-        assert_eq!(timeline.last().unwrap().1, s.network().live_len());
     }
 }

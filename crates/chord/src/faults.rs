@@ -167,28 +167,6 @@ impl FaultPlan {
         FaultPlan::for_nodes(live)
     }
 
-    /// Marks every *live* node whose ring point falls in failure domain
-    /// `domain` of `map` with `behavior` — the correlated-fault
-    /// counterpart of [`for_nodes`](FaultPlan::for_nodes): a whole rack
-    /// or region misbehaves (or is studied) as a unit.
-    ///
-    /// The result composes through [`merge`](FaultPlan::merge) like any
-    /// other plan, so overlapping domains union per node rather than
-    /// clobbering each other.
-    pub fn for_domain(
-        net: &ChordNetwork,
-        map: &simnet::DomainMap,
-        domain: u32,
-        behavior: NodeFaults,
-    ) -> FaultPlan {
-        FaultPlan::with_behavior(
-            net.live_ids()
-                .into_iter()
-                .filter(|&id| map.contains(domain, net.node(id).point().get())),
-            behavior,
-        )
-    }
-
     /// Layers `other`'s behaviours on top of this plan: nodes present in
     /// both keep the *union* of their behaviour sets, so merging never
     /// disables anything either plan enabled. This is what lets a
@@ -404,78 +382,6 @@ mod tests {
         assert!(!plan.is_byzantine(node), "no behaviour left");
         assert_eq!(plan.byzantine_count(), 0);
         assert!(plan.byzantine_nodes().is_empty());
-    }
-
-    #[test]
-    fn for_domain_marks_exactly_the_domains_live_members() {
-        let net = bootstrap(96, 6);
-        let map = simnet::DomainMap::sectors(4, net.space().modulus());
-        let plan = FaultPlan::for_domain(&net, &map, 1, NodeFaults::ROUTER);
-        let mut expected: Vec<NodeId> = net
-            .live_ids()
-            .into_iter()
-            .filter(|&id| map.contains(1, net.node(id).point().get()))
-            .collect();
-        expected.sort_unstable();
-        assert!(!expected.is_empty(), "a quarter-ring sector holds nodes");
-        assert_eq!(plan.byzantine_nodes(), expected);
-        for id in net.live_ids() {
-            assert_eq!(
-                plan.is_byzantine(id),
-                map.contains(1, net.node(id).point().get()),
-                "membership must follow the domain map exactly"
-            );
-        }
-    }
-
-    #[test]
-    fn overlapping_domain_plans_merge_per_node_and_clear() {
-        let net = bootstrap(128, 7);
-        let modulus = net.space().modulus();
-        // Domain 0 of the fine map is the first quarter of the ring;
-        // domain 0 of the coarse map is the first half — the fine domain
-        // is wholly contained in the coarse one, so the two plans overlap
-        // on every fine-domain node.
-        let fine = simnet::DomainMap::sectors(4, modulus);
-        let coarse = simnet::DomainMap::sectors(2, modulus);
-        let claims = NodeFaults {
-            claim_ownership: true,
-            ..NodeFaults::HONEST
-        };
-        let eclipses = NodeFaults {
-            eclipse_next: true,
-            ..NodeFaults::HONEST
-        };
-        let mut plan = FaultPlan::for_domain(&net, &coarse, 0, claims);
-        let fine_plan = FaultPlan::for_domain(&net, &fine, 0, eclipses);
-        assert!(!fine_plan.byzantine_nodes().is_empty());
-        plan.merge(&fine_plan);
-        for id in net.live_ids() {
-            let p = net.node(id).point().get();
-            let in_fine = fine.contains(0, p);
-            let in_coarse = coarse.contains(0, p);
-            assert!(!in_fine || in_coarse, "fine sector nests in coarse");
-            // Overlap keeps the union; coarse-only nodes keep only the
-            // coarse behaviour; outsiders stay honest.
-            assert_eq!(plan.claims_ownership(id), in_coarse);
-            assert_eq!(plan.eclipses_next(id), in_fine);
-        }
-        plan.clear();
-        assert_eq!(plan.byzantine_count(), 0);
-        assert!(plan.byzantine_nodes().is_empty());
-    }
-
-    #[test]
-    fn for_domain_skips_dead_nodes() {
-        let mut net = bootstrap(64, 8);
-        let map = simnet::DomainMap::sectors(2, net.space().modulus());
-        let victim = FaultPlan::for_domain(&net, &map, 0, NodeFaults::ROUTER).byzantine_nodes()[0];
-        net.crash(victim);
-        let plan = FaultPlan::for_domain(&net, &map, 0, NodeFaults::ROUTER);
-        assert!(
-            !plan.is_byzantine(victim),
-            "dead nodes are not part of a domain plan"
-        );
     }
 
     #[test]

@@ -214,8 +214,8 @@ pub struct ChordNetwork {
 /// Pre-registered telemetry handles for every chord hot-path counter plus
 /// the lookup hop-count histogram, interned once per network at
 /// construction — hot-path events are single lock-free atomic adds, never
-/// per-event `String` allocation or registry lookups (the legacy
-/// [`Metrics`] string API remains as a compat shim for cold paths).
+/// per-event `String` allocation or registry lookups ([`Metrics`] keeps
+/// only by-name reads).
 #[derive(Debug, Clone, Copy)]
 pub struct ChordCounters {
     /// `bulk_join.nodes` — nodes created by [`ChordNetwork::bulk_join`].

@@ -435,11 +435,6 @@ fn run_oracle(
                         }
                     }
                 }
-                // Domain outages are injected by the harness at draw
-                // checkpoints (see the chord path), never through the
-                // schedule, so these never reach the oracle replay.
-                simnet::churn::ChurnKind::DomainCrash { .. }
-                | simnet::churn::ChurnKind::DomainHeal { .. } => {}
             }
         }
     }

@@ -6,6 +6,10 @@
 //! event schedule: node arrivals as a Poisson process, per-node session
 //! lifetimes exponentially distributed (the standard M/M/∞ churn model used
 //! in DHT studies).
+//!
+//! Correlated outages are not churn events. A rack-sized crash takes a
+//! whole [`DomainMap`](crate::DomainMap) sector down at once, and the
+//! scenario layer drives it at draw checkpoints, outside this schedule.
 
 use rand::Rng;
 
@@ -20,19 +24,6 @@ pub enum ChurnKind {
     Leave,
     /// An existing node crashes silently.
     Crash,
-    /// Every live member of a failure domain crashes **atomically** — a
-    /// rack loses power. The domain label resolves against the run's
-    /// [`DomainMap`](crate::DomainMap).
-    DomainCrash {
-        /// Which domain fails.
-        domain: u32,
-    },
-    /// A previously crashed/isolated domain comes back: its members
-    /// rejoin the overlay (the healing edge of a partition).
-    DomainHeal {
-        /// Which domain recovers.
-        domain: u32,
-    },
 }
 
 /// One scheduled membership change.
@@ -182,10 +173,6 @@ pub struct ChurnPhase {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSchedule {
     phases: Vec<ChurnPhase>,
-    /// Correlated-failure events merged into the generated schedule.
-    /// Empty by default, so plain schedules generate byte-identically to
-    /// their pre-domain form.
-    outages: Vec<ChurnEvent>,
 }
 
 impl ChurnSchedule {
@@ -203,60 +190,7 @@ impl ChurnSchedule {
             phases.iter().all(|p| !p.duration.is_zero()),
             "churn phases must have positive duration"
         );
-        ChurnSchedule {
-            phases,
-            outages: Vec::new(),
-        }
-    }
-
-    /// Schedules a correlated crash: every live member of `domain` dies
-    /// atomically at `at` and stays down for the rest of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is outside the schedule horizon.
-    pub fn with_domain_crash(mut self, domain: u32, at: SimTime) -> ChurnSchedule {
-        assert!(
-            at < SimTime::from_ticks(self.horizon().ticks()),
-            "domain crash at {at:?} is past the horizon"
-        );
-        self.outages.push(ChurnEvent {
-            time: at,
-            kind: ChurnKind::DomainCrash { domain },
-        });
-        self
-    }
-
-    /// Schedules a correlated partition: `domain` drops out atomically at
-    /// `at` and heals (its members rejoin) `duration` later. A heal past
-    /// the horizon is dropped — the partition outlives the run, making it
-    /// equivalent to [`with_domain_crash`](Self::with_domain_crash).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is outside the schedule horizon or `duration` is
-    /// zero.
-    pub fn with_domain_partition(
-        mut self,
-        domain: u32,
-        at: SimTime,
-        duration: SimDuration,
-    ) -> ChurnSchedule {
-        assert!(!duration.is_zero(), "a partition needs positive duration");
-        self = self.with_domain_crash(domain, at);
-        let heal = at.ticks() + duration.ticks();
-        if heal < self.horizon().ticks() {
-            self.outages.push(ChurnEvent {
-                time: SimTime::from_ticks(heal),
-                kind: ChurnKind::DomainHeal { domain },
-            });
-        }
-        self
-    }
-
-    /// The scheduled correlated-failure events, in insertion order.
-    pub fn outages(&self) -> &[ChurnEvent] {
-        &self.outages
+        ChurnSchedule { phases }
     }
 
     /// A single-phase schedule equivalent to `config`.
@@ -334,11 +268,6 @@ impl ChurnSchedule {
             }
             phase_start = phase_end;
         }
-        // Outages merge after generation (stable sort keeps same-tick
-        // organic events ahead of the correlated ones), so a schedule
-        // with no outages generates byte-identically to one that never
-        // heard of domains.
-        events.extend(self.outages.iter().copied());
         events.sort_by_key(|e| e.time);
         events
     }
@@ -498,68 +427,6 @@ mod tests {
         let a = storm_schedule().generate(&mut rng());
         let b = storm_schedule().generate(&mut rng());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn domain_crash_merges_into_the_schedule_in_time_order() {
-        let schedule = storm_schedule().with_domain_crash(3, SimTime::from_ticks(12_000));
-        assert_eq!(schedule.outages().len(), 1);
-        let events = schedule.generate(&mut rng());
-        let crash_pos = events
-            .iter()
-            .position(|e| e.kind == (ChurnKind::DomainCrash { domain: 3 }))
-            .expect("domain crash must be in the schedule");
-        assert_eq!(events[crash_pos].time.ticks(), 12_000);
-        for pair in events.windows(2) {
-            assert!(pair[0].time <= pair[1].time);
-        }
-        // Everything except the injected event matches the plain
-        // schedule: outages perturb nothing around them.
-        let mut without = events.clone();
-        without.remove(crash_pos);
-        assert_eq!(without, storm_schedule().generate(&mut rng()));
-    }
-
-    #[test]
-    fn domain_partition_schedules_crash_and_heal() {
-        let schedule = storm_schedule().with_domain_partition(
-            1,
-            SimTime::from_ticks(5_000),
-            SimDuration::from_ticks(4_000),
-        );
-        let events = schedule.generate(&mut rng());
-        let crash = events
-            .iter()
-            .find(|e| e.kind == (ChurnKind::DomainCrash { domain: 1 }))
-            .unwrap();
-        let heal = events
-            .iter()
-            .find(|e| e.kind == (ChurnKind::DomainHeal { domain: 1 }))
-            .unwrap();
-        assert_eq!(crash.time.ticks(), 5_000);
-        assert_eq!(heal.time.ticks(), 9_000);
-    }
-
-    #[test]
-    fn partition_heal_past_horizon_is_dropped() {
-        let schedule = storm_schedule().with_domain_partition(
-            0,
-            SimTime::from_ticks(25_000),
-            SimDuration::from_ticks(100_000),
-        );
-        let events = schedule.generate(&mut rng());
-        assert!(events
-            .iter()
-            .any(|e| e.kind == (ChurnKind::DomainCrash { domain: 0 })));
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e.kind, ChurnKind::DomainHeal { .. })));
-    }
-
-    #[test]
-    #[should_panic(expected = "past the horizon")]
-    fn domain_crash_past_horizon_panics() {
-        let _ = storm_schedule().with_domain_crash(0, SimTime::from_ticks(30_000));
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! Every failure model elsewhere in the workspace is independent
 //! per-node; real deployments fail in correlated groups — a rack loses
 //! power, a region partitions, a switch takes its whole pod down. A
-//! [`DomainMap`] assigns each ring position a *domain label* so churn
-//! schedules and fault plans can address "everything in rack 3" as one
-//! unit.
+//! [`DomainMap`] assigns each ring position a *domain label* so an outage
+//! can address "everything in rack 3" as one unit.
 //!
-//! The default labeling is **sectoral**: domain `d` of `D` owns the
-//! contiguous ring arc `[d·M/D, (d+1)·M/D)`. This matches the
+//! The labeling is **sectoral**: domain `d` of `D` owns the contiguous
+//! ring arc that starts at `⌈d·M/D⌉` and ends where domain `d + 1`
+//! starts (the last sector ends at the modulus `M`). This matches the
 //! clustered-ring placement geometry (a placement cluster lands inside
 //! one sector when the cluster count divides the domain count) and —
 //! deliberately — makes a domain crash the *worst case* for Chord:
 //! a crashed sector is a contiguous dead arc, exactly the shape that
-//! defeats an `r`-deep successor list. An explicit
-//! [`DomainMap::from_labels`] flavor covers deployments whose racks are
-//! interleaved around the ring instead.
+//! defeats an `r`-deep successor list. Sectors nest: domain `d` of `D`
+//! is the union of domains `k·d .. k·d + k` of `k·D`.
 //!
 //! # Example
 //!
@@ -23,24 +22,15 @@
 //! use simnet::DomainMap;
 //!
 //! let map = DomainMap::sectors(8, 1 << 32);
-//! assert_eq!(map.domains(), 8);
 //! assert_eq!(map.domain_of(0), 0);
 //! assert_eq!(map.domain_of((1u64 << 32) - 1), 7);
 //! ```
 
-/// Domain labels over ring positions.
+/// Domain labels over ring positions: equal contiguous sectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainMap {
     domains: u32,
-    labeling: Labeling,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Labeling {
-    /// Contiguous equal sectors of a ring with this modulus.
-    Sectors { modulus: u128 },
-    /// Explicit per-index labels (index order is the caller's contract).
-    Labels(Vec<u32>),
+    modulus: u128,
 }
 
 impl DomainMap {
@@ -57,87 +47,28 @@ impl DomainMap {
             modulus >= u128::from(domains),
             "modulus {modulus} cannot split into {domains} non-empty sectors"
         );
-        DomainMap {
-            domains,
-            labeling: Labeling::Sectors { modulus },
-        }
+        DomainMap { domains, modulus }
     }
 
-    /// Explicit labels: item `i` of `labels` is the domain of index `i`
-    /// (whatever the caller indexes by — placement order, join order).
+    /// The domain of ring position `p`.
     ///
     /// # Panics
     ///
-    /// Panics if `labels` is empty or any label is out of range for the
-    /// implied domain count (`max + 1`).
-    pub fn from_labels(labels: Vec<u32>) -> DomainMap {
-        assert!(!labels.is_empty(), "a domain map needs at least one label");
-        let domains = labels.iter().copied().max().expect("non-empty") + 1;
-        DomainMap {
-            domains,
-            labeling: Labeling::Labels(labels),
-        }
-    }
-
-    /// Number of domains.
-    pub fn domains(&self) -> u32 {
-        self.domains
-    }
-
-    /// The domain of ring position `p` (sectoral maps) or of index `p`
-    /// (label maps).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside the modulus (sectoral) or the label
-    /// table (explicit).
+    /// Panics when `p` is outside the modulus.
     pub fn domain_of(&self, p: u64) -> u32 {
-        match &self.labeling {
-            Labeling::Sectors { modulus } => {
-                assert!(
-                    u128::from(p) < *modulus,
-                    "point {p} outside modulus {modulus}"
-                );
-                (u128::from(p) * u128::from(self.domains) / modulus) as u32
-            }
-            Labeling::Labels(labels) => labels[usize::try_from(p).expect("index fits usize")],
-        }
-    }
-
-    /// Whether position/index `p` belongs to domain `d`.
-    pub fn contains(&self, d: u32, p: u64) -> bool {
-        self.domain_of(p) == d
-    }
-
-    /// The sector `[start, end)` of domain `d`, for sectoral maps.
-    ///
-    /// `end` is exclusive and may equal the modulus (the last sector).
-    /// Returns `None` for label maps (they have no arc geometry) or an
-    /// out-of-range `d`.
-    pub fn sector_bounds(&self, d: u32) -> Option<(u128, u128)> {
-        let Labeling::Sectors { modulus } = &self.labeling else {
-            return None;
-        };
-        if d >= self.domains {
-            return None;
-        }
-        // Inverse of `domain_of`: the smallest p with p·D/M ≥ d is
-        // ⌈d·M/D⌉.
-        let start = (u128::from(d) * modulus).div_ceil(u128::from(self.domains));
-        let end = (u128::from(d + 1) * modulus).div_ceil(u128::from(self.domains));
-        Some((start, end))
-    }
-
-    /// The fraction of the ring each domain covers (sectoral maps cover
-    /// `1/domains` each by construction).
-    pub fn domain_fraction(&self) -> f64 {
-        1.0 / f64::from(self.domains)
+        assert!(
+            u128::from(p) < self.modulus,
+            "point {p} outside modulus {}",
+            self.modulus
+        );
+        (u128::from(p) * u128::from(self.domains) / self.modulus) as u32
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sectors_partition_the_ring() {
@@ -157,44 +88,66 @@ mod tests {
     }
 
     #[test]
-    fn sector_bounds_invert_domain_of() {
-        let m = 1_000_003u128; // prime: sectors are uneven by one point
-        let map = DomainMap::sectors(7, m);
-        let mut covered = 0u128;
-        for d in 0..7 {
-            let (start, end) = map.sector_bounds(d).unwrap();
-            assert!(start < end);
-            covered += end - start;
-            assert_eq!(map.domain_of(start as u64), d, "start of sector {d}");
-            assert_eq!(map.domain_of((end - 1) as u64), d, "end of sector {d}");
-            if end < m {
-                assert_eq!(map.domain_of(end as u64), d + 1);
-            }
-        }
-        assert_eq!(covered, m, "sectors must partition the ring exactly");
-        assert_eq!(map.sector_bounds(7), None);
-    }
-
-    #[test]
     fn full_modulus_sectors_label_without_overflow() {
         let map = DomainMap::sectors(4, 1u128 << 64);
         assert_eq!(map.domain_of(0), 0);
         assert_eq!(map.domain_of(u64::MAX), 3);
         assert_eq!(map.domain_of(1u64 << 63), 2);
-        let (start, end) = map.sector_bounds(3).unwrap();
-        assert_eq!(end, 1u128 << 64);
-        assert_eq!(map.domain_of(start as u64), 3);
+        assert_eq!(map.domain_of(3u64 << 62), 3);
+        assert_eq!(map.domain_of((3u64 << 62) - 1), 2);
     }
 
-    #[test]
-    fn labels_map_by_index() {
-        let map = DomainMap::from_labels(vec![0, 1, 1, 2, 0]);
-        assert_eq!(map.domains(), 3);
-        assert_eq!(map.domain_of(0), 0);
-        assert_eq!(map.domain_of(3), 2);
-        assert!(map.contains(1, 2));
-        assert!(!map.contains(1, 3));
-        assert_eq!(map.sector_bounds(0), None, "label maps have no arcs");
+    proptest! {
+        /// Sector `d` of `D` over modulus `M` starts at `⌈d·M/D⌉`: that
+        /// point labels `d` and the one before it `d − 1`, every point
+        /// between two starts carries the lower label (so labels never
+        /// decrease and every domain is reached), and the `D`-sector map
+        /// is the `k·D`-sector map divided by `k`.
+        #[test]
+        fn sectors_start_at_the_ceiling_and_nest(
+            modulus in prop_oneof![
+                Just(2u128),
+                Just(3u128),
+                Just(1_000_003u128),
+                Just((1u128 << 20) + 7),
+                Just(1u128 << 64),
+            ],
+            domains_pick in any::<u32>(),
+            k_pick in any::<u32>(),
+            probes in proptest::collection::vec(any::<u64>(), 16),
+        ) {
+            let max_domains = modulus.min(64) as u32;
+            let domains = 1 + domains_pick % max_domains;
+            let k = 1 + k_pick % (modulus / u128::from(domains)).min(8) as u32;
+            let map = DomainMap::sectors(domains, modulus);
+            let fine = DomainMap::sectors(k * domains, modulus);
+            let start = |d: u32| (u128::from(d) * modulus).div_ceil(u128::from(domains));
+
+            let mut points = Vec::new();
+            for d in 0..domains {
+                let p = start(d);
+                prop_assert!(p < start(d + 1), "sector {} is empty", d);
+                prop_assert_eq!(map.domain_of(p as u64), d);
+                if d > 0 {
+                    prop_assert_eq!(map.domain_of((p - 1) as u64), d - 1);
+                }
+                points.push(p as u64);
+            }
+            prop_assert_eq!(start(domains), modulus);
+            prop_assert_eq!(map.domain_of((modulus - 1) as u64), domains - 1);
+            // Probes scaled onto [0, M): the multiply-shift keeps them in
+            // range for every modulus, including 2^64.
+            points.extend(probes.iter().map(|&x| ((u128::from(x) * modulus) >> 64) as u64));
+            for p in points {
+                let d = map.domain_of(p);
+                prop_assert!(d < domains);
+                prop_assert!(
+                    start(d) <= u128::from(p) && u128::from(p) < start(d + 1),
+                    "point {} labels {} outside its sector", p, d
+                );
+                prop_assert_eq!(fine.domain_of(p) / k, d, "sectors must nest");
+            }
+        }
     }
 
     #[test]
@@ -208,11 +161,5 @@ mod tests {
     fn out_of_range_point_panics() {
         let map = DomainMap::sectors(2, 100);
         let _ = map.domain_of(100);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one label")]
-    fn empty_labels_panic() {
-        let _ = DomainMap::from_labels(vec![]);
     }
 }

@@ -10,14 +10,16 @@
 //! * [`LatencyModel`] — pluggable per-message delay distributions
 //!   (constant, uniform, log-normal) so experiments can check that the
 //!   *shape* of results is robust to the delay model.
-//! * [`Metrics`] — a thread-safe counter registry for message accounting.
+//! * [`Metrics`] — a thread-safe counter registry for message accounting:
+//!   writers increment `telemetry` handles, readers look counters up by
+//!   name.
 //! * [`rng`] — SplitMix64 seed derivation so every component of every
 //!   experiment gets an independent, reproducible random stream.
-//! * [`churn`] — Poisson join/leave workload generation for the E11
-//!   experiments, plus correlated domain-outage events.
+//! * [`churn`] — Poisson join/leave/crash workload generation for the
+//!   E11 experiments, in one phase or several.
 //! * [`DomainMap`] — rack/region failure-domain labels over ring
-//!   positions, addressed as units by the churn schedule's
-//!   domain-crash/partition events and by chord's domain fault plans.
+//!   positions: equal contiguous sectors, which the scenario layer's
+//!   outage driver crashes as units.
 //!
 //! # Example: draining events in deterministic order
 //!

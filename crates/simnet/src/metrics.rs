@@ -1,4 +1,3 @@
-use core::fmt;
 use std::collections::BTreeMap;
 
 use telemetry::Recorder;
@@ -10,14 +9,12 @@ use telemetry::Recorder;
 /// before and after an operation to attribute costs. Snapshots are
 /// deterministically ordered for table output.
 ///
-/// Since the telemetry rework this type is a thin compatibility shim over
-/// [`telemetry::Recorder`]: the string-keyed methods resolve names through
-/// the recorder's registry (a lock plus a scan per call) and are kept only
-/// for cold paths and existing tests. **Hot paths should pre-register
-/// handles** via [`Metrics::recorder`] →
+/// This type is a thin wrapper over [`telemetry::Recorder`]. Writers
+/// pre-register a handle via [`Metrics::recorder`] →
 /// [`Recorder::counter`](telemetry::Recorder::counter) and increment
 /// through [`telemetry::CounterId`], which is a single lock-free atomic
-/// add per event.
+/// add per event. [`Metrics::get`] and [`Metrics::snapshot`] read by
+/// name.
 ///
 /// # Example
 ///
@@ -25,8 +22,9 @@ use telemetry::Recorder;
 /// use simnet::Metrics;
 ///
 /// let m = Metrics::new();
-/// m.incr("lookup.hop");
-/// m.add("lookup.hop", 2);
+/// let hop = m.recorder().counter("lookup.hop");
+/// m.recorder().incr(hop);
+/// m.recorder().add(hop, 2);
 /// assert_eq!(m.get("lookup.hop"), 3);
 /// assert_eq!(m.get("unknown"), 0);
 /// ```
@@ -47,65 +45,14 @@ impl Metrics {
         &self.recorder
     }
 
-    /// Increments `name` by one.
-    ///
-    /// Deprecated for hot paths: registers/looks up the name on every
-    /// call. Pre-register a `CounterId` via [`Metrics::recorder`] instead.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Increments `name` by `delta`.
-    ///
-    /// Deprecated for hot paths: registers/looks up the name on every
-    /// call. Pre-register a `CounterId` via [`Metrics::recorder`] instead.
-    pub fn add(&self, name: &str, delta: u64) {
-        let id = self.recorder.counter(name);
-        self.recorder.add(id, delta);
-    }
-
     /// Current value of `name` (0 if never incremented).
     pub fn get(&self, name: &str) -> u64 {
         self.recorder.counter_named(name)
     }
 
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn sum_prefixed(&self, prefix: &str) -> u64 {
-        self.recorder.sum_prefixed(prefix)
-    }
-
     /// A point-in-time copy of every counter that has been incremented.
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
         self.recorder.snapshot()
-    }
-
-    /// Closes the current observation window and returns its per-counter
-    /// deltas — see [`Recorder::reset_window`](telemetry::Recorder::reset_window)
-    /// for the delta semantics (computed per slot, never by diffing
-    /// zero-skipping snapshots).
-    pub fn reset_window(&self) -> telemetry::WindowSnapshot {
-        self.recorder.reset_window()
-    }
-
-    /// Resets every counter to zero (registered handles stay valid).
-    pub fn reset(&self) {
-        self.recorder.reset();
-    }
-}
-
-impl fmt::Display for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snap = self.snapshot();
-        if snap.is_empty() {
-            return write!(f, "(no metrics)");
-        }
-        for (i, (k, v)) in snap.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "{k} = {v}")?;
-        }
-        Ok(())
     }
 }
 
@@ -114,71 +61,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn incr_add_get() {
-        let m = Metrics::new();
-        m.incr("a");
-        m.incr("a");
-        m.add("b", 5);
-        assert_eq!(m.get("a"), 2);
-        assert_eq!(m.get("b"), 5);
-        assert_eq!(m.get("c"), 0);
-    }
-
-    #[test]
-    fn prefix_sum() {
-        let m = Metrics::new();
-        m.add("lookup.hop", 3);
-        m.add("lookup.start", 1);
-        m.add("stabilize", 10);
-        assert_eq!(m.sum_prefixed("lookup."), 4);
-        assert_eq!(m.sum_prefixed(""), 14);
-        assert_eq!(m.sum_prefixed("nothing"), 0);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_detached() {
         let m = Metrics::new();
-        m.incr("z");
-        m.incr("a");
+        let z = m.recorder().counter("z");
+        let a = m.recorder().counter("a");
+        m.recorder().incr(z);
+        m.recorder().add(a, 2);
+        assert_eq!(m.get("a"), 2);
+        assert_eq!(m.get("c"), 0);
         let snap = m.snapshot();
         let keys: Vec<_> = snap.keys().cloned().collect();
         assert_eq!(keys, vec!["a", "z"]);
-        m.incr("a");
-        assert_eq!(snap["a"], 1, "snapshot must not see later increments");
-    }
-
-    #[test]
-    fn reset_clears() {
-        let m = Metrics::new();
-        m.incr("x");
-        m.reset();
-        assert_eq!(m.get("x"), 0);
-        assert!(m.snapshot().is_empty());
-    }
-
-    #[test]
-    fn concurrent_increments_all_land() {
-        let m = std::sync::Arc::new(Metrics::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let m = m.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    m.incr("shared");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.get("shared"), 8000);
-    }
-
-    #[test]
-    fn display_lists_counters() {
-        let m = Metrics::new();
-        assert_eq!(m.to_string(), "(no metrics)");
-        m.add("k", 2);
-        assert_eq!(m.to_string(), "k = 2");
+        m.recorder().incr(a);
+        assert_eq!(snap["a"], 2, "snapshot must not see later increments");
+        assert_eq!(m.get("a"), 3);
     }
 }
