@@ -98,11 +98,11 @@ mod tests {
     }
 
     proptest! {
-        /// Sector `d` of `D` over modulus `M` starts at `⌈d·M/D⌉`: that
-        /// point labels `d` and the one before it `d − 1`, every point
-        /// between two starts carries the lower label (so labels never
-        /// decrease and every domain is reached), and the `D`-sector map
-        /// is the `k·D`-sector map divided by `k`.
+        /// Sector `d` of `D` over modulus `M` starts at `⌈d·M/D⌉`: every
+        /// point between two starts carries the lower label, so a start
+        /// labels `d`, the point before it `d − 1`, labels never decrease
+        /// and every domain is reached. The `D`-sector map is also the
+        /// `k·D`-sector map divided by `k`.
         #[test]
         fn sectors_start_at_the_ceiling_and_nest(
             modulus in prop_oneof![
@@ -116,36 +116,31 @@ mod tests {
             k_pick in any::<u32>(),
             probes in proptest::collection::vec(any::<u64>(), 16),
         ) {
-            let max_domains = modulus.min(64) as u32;
-            let domains = 1 + domains_pick % max_domains;
+            let domains = 1 + domains_pick % modulus.min(64) as u32;
             let k = 1 + k_pick % (modulus / u128::from(domains)).min(8) as u32;
             let map = DomainMap::sectors(domains, modulus);
             let fine = DomainMap::sectors(k * domains, modulus);
             let start = |d: u32| (u128::from(d) * modulus).div_ceil(u128::from(domains));
 
-            let mut points = Vec::new();
-            for d in 0..domains {
-                let p = start(d);
-                prop_assert!(p < start(d + 1), "sector {} is empty", d);
-                prop_assert_eq!(map.domain_of(p as u64), d);
-                if d > 0 {
-                    prop_assert_eq!(map.domain_of((p - 1) as u64), d - 1);
-                }
-                points.push(p as u64);
-            }
-            prop_assert_eq!(start(domains), modulus);
-            prop_assert_eq!(map.domain_of((modulus - 1) as u64), domains - 1);
-            // Probes scaled onto [0, M): the multiply-shift keeps them in
+            // Every sector start, the point before it, the last point, and
+            // probes scaled onto [0, M): the multiply-shift keeps them in
             // range for every modulus, including 2^64.
-            points.extend(probes.iter().map(|&x| ((u128::from(x) * modulus) >> 64) as u64));
+            let mut points = vec![modulus - 1];
+            for d in 0..domains {
+                prop_assert!(start(d) < start(d + 1), "sector {} is empty", d);
+                points.push(start(d));
+                if d > 0 {
+                    points.push(start(d) - 1);
+                }
+            }
+            points.extend(probes.iter().map(|&x| (u128::from(x) * modulus) >> 64));
             for p in points {
-                let d = map.domain_of(p);
-                prop_assert!(d < domains);
+                let d = map.domain_of(p as u64);
                 prop_assert!(
-                    start(d) <= u128::from(p) && u128::from(p) < start(d + 1),
+                    start(d) <= p && p < start(d + 1),
                     "point {} labels {} outside its sector", p, d
                 );
-                prop_assert_eq!(fine.domain_of(p) / k, d, "sectors must nest");
+                prop_assert_eq!(fine.domain_of(p as u64) / k, d, "sectors must nest");
             }
         }
     }
