@@ -587,6 +587,20 @@ impl<'a> Fingers<'a> {
             .filter_map(|&raw| decode(raw).map(NodeId::from_index))
     }
 
+    /// The populated values of the runs whose first bit is below `bits`,
+    /// in run order: a prefix of [`distinct`](Self::distinct), found with
+    /// one popcount.
+    pub(crate) fn runs_starting_below(
+        &self,
+        bits: u32,
+    ) -> impl DoubleEndedIterator<Item = NodeId> + 'a {
+        let below = if bits >= 64 { !0 } else { (1u64 << bits) - 1 };
+        let runs = (self.mask & below).count_ones() as usize;
+        self.vals[..runs]
+            .iter()
+            .filter_map(|&raw| decode(raw).map(NodeId::from_index))
+    }
+
     /// All logical entries collected into the old owned representation.
     pub fn to_vec(&self) -> Vec<Option<NodeId>> {
         self.iter().collect()

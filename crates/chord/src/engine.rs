@@ -15,15 +15,24 @@
 //! [`open_attempt`], [`step_attempt`] (one per delivered
 //! `FindSuccessor`) and [`close_attempt`] own every charge an attempt
 //! makes — backoff, ordinal, trace, hops, spans, retries and the fallback
-//! tiers. The engine adds only event plumbing: the queue, attempt
-//! generations, deadlines, the slow overlay, hops that die in flight and
-//! the backlog. So a sequentially-driven engine with deadlines disarmed
+//! tiers. The engine adds only event plumbing: the queue, the request
+//! table, deadlines, the slow overlay, hops that die in flight and the
+//! backlog. So a sequentially-driven engine with deadlines disarmed
 //! is **bit-identical** to the sync walk — same owners, same hops, same
 //! costs, same ordinals, same trace digest.
 //! Concurrency then changes *interleaving* only: requests draw latency
 //! from per-request RNG streams and routing consumes randomness nowhere
 //! else, which is what makes 10k interleaved lookups replay
 //! byte-identically and submission order not matter.
+//!
+//! The request table is a slab. An admitted request occupies a free
+//! slot, and its messages carry the slot index and the slot's
+//! generation instead of the caller's tag. The generation moves on at
+//! every retry and every completion, so whatever a preempted attempt or
+//! a slot's previous occupant still has in flight — replies, deadlines
+//! — is dropped on arrival. Caller tags only key the [`Completion`]s and
+//! the duplicate-tag check, a bitset over the prefix that sequential tags
+//! fill.
 //!
 //! One modeling artifact is deliberate: a request's lifecycle is
 //! attributed to its *origin*. `NextHop`/`Notify` answers return to the
@@ -40,7 +49,7 @@
 //! [`step_attempt`]: ChordNetwork
 //! [`close_attempt`]: ChordNetwork
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::ControlFlow;
 
 use keyspace::Point;
@@ -120,16 +129,15 @@ pub struct Completion {
     pub result: Result<LookupResult, LookupError>,
 }
 
-/// Per-request in-flight state (the request table).
+/// Per-request in-flight state (the occupant of a request-table slot).
 struct Pending {
+    /// The caller's tag.
+    tag: u64,
     /// Private latency stream — `derive_seed(engine seed, tag)` — so a
     /// request's draws are independent of interleaving.
     rng: StdRng,
     /// The lookup's attempt accounting, shared with the sync walk.
     attempt: Attempt,
-    /// Attempt generation: bumped on every retry, which strands every
-    /// message (and deadline) the preempted attempt still has in flight.
-    generation: u32,
     /// The walk resolved; the final `Notify` is in flight. Deadlines no
     /// longer preempt (the answer is already on the wire), making
     /// completion exactly-once.
@@ -140,6 +148,46 @@ struct Pending {
     /// firing deadline penalizes in the score table.
     current: NodeId,
     timeouts: u32,
+}
+
+/// One slot of the request table. Messages name a request by its slot
+/// and the slot's generation, which moves on at every retry and at every
+/// completion and never goes back, so whatever a preempted attempt or a
+/// previous occupant left in flight can never match again.
+struct Slot {
+    generation: u32,
+    pending: Option<Pending>,
+}
+
+/// The tags submitted to one engine, for the duplicate-tag check. A
+/// bitset covers a prefix of the tag space that grows by a word whenever
+/// a tag lands just past its end, so sequential tags cost a bit each;
+/// every other tag goes to the ordered set.
+#[derive(Default)]
+struct TagSet {
+    dense: Vec<u64>,
+    sparse: BTreeSet<u64>,
+}
+
+impl TagSet {
+    /// Adds `tag`; false if it was already there.
+    fn insert(&mut self, tag: u64) -> bool {
+        let word = usize::try_from(tag / 64).unwrap_or(usize::MAX);
+        if word == self.dense.len() {
+            self.dense.push(0);
+        }
+        match self.dense.get_mut(word) {
+            // The prefix may have grown over a tag that arrived before it.
+            Some(bits) if !self.sparse.contains(&tag) => {
+                let bit = 1 << (tag % 64);
+                let fresh = *bits & bit == 0;
+                *bits |= bit;
+                fresh
+            }
+            Some(_) => false,
+            None => self.sparse.insert(tag),
+        }
+    }
 }
 
 /// The deterministic async lookup event loop. See the module docs.
@@ -153,10 +201,13 @@ pub struct LookupEngine {
     config: EngineConfig,
     queue: EventQueue<Message>,
     now: SimTime,
-    pending: BTreeMap<u64, Pending>,
+    /// The request table; admitted requests occupy slots, free ones are
+    /// listed in `free`.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
     backlog: VecDeque<(u64, NodeId, Point)>,
     completions: Vec<Completion>,
-    seen_tags: BTreeSet<u64>,
+    seen_tags: TagSet,
     slow: Option<SlowOverlay>,
     next_tag: u64,
 }
@@ -168,10 +219,11 @@ impl LookupEngine {
             config,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            pending: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             backlog: VecDeque::new(),
             completions: Vec::new(),
-            seen_tags: BTreeSet::new(),
+            seen_tags: TagSet::default(),
             slow: None,
             next_tag: 0,
         }
@@ -189,7 +241,7 @@ impl LookupEngine {
 
     /// Requests admitted and not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Requests waiting for an in-flight slot.
@@ -218,9 +270,14 @@ impl LookupEngine {
     /// If `tag` was already submitted to this engine.
     pub fn submit_tagged(&mut self, net: &ChordNetwork, tag: u64, from: NodeId, target: Point) {
         assert!(self.seen_tags.insert(tag), "duplicate request tag {tag}");
-        self.next_tag = self.next_tag.max(tag + 1);
-        self.backlog.push_back((tag, from, target));
-        self.admit(net);
+        self.next_tag = self.next_tag.max(tag.saturating_add(1));
+        // Every call that frees a slot admits the backlog, so a free slot
+        // means an empty backlog.
+        if self.in_flight() < self.config.max_inflight {
+            self.start_request(net, tag, from, target);
+        } else {
+            self.backlog.push_back((tag, from, target));
+        }
     }
 
     /// Runs the event loop up to and including `deadline`, then parks the
@@ -307,7 +364,7 @@ impl LookupEngine {
 
     /// Admits backlogged requests while in-flight slots are free.
     fn admit(&mut self, net: &ChordNetwork) {
-        while self.pending.len() < self.config.max_inflight {
+        while self.in_flight() < self.config.max_inflight {
             let Some((tag, from, target)) = self.backlog.pop_front() else {
                 return;
             };
@@ -316,45 +373,63 @@ impl LookupEngine {
     }
 
     fn start_request(&mut self, net: &ChordNetwork, tag: u64, from: NodeId, target: Point) {
-        let rng = StdRng::seed_from_u64(simnet::rng::derive_seed(self.config.seed, tag));
-        let p = Pending {
-            rng,
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                generation: 0,
+                pending: None,
+            });
+            u32::try_from(self.slots.len() - 1).expect("in-flight requests fit u32")
+        });
+        self.slots[slot as usize].pending = Some(Pending {
+            tag,
+            rng: StdRng::seed_from_u64(simnet::rng::derive_seed(self.config.seed, tag)),
             attempt: Attempt::new(from, target),
-            generation: 0,
             resolved: false,
             submitted_at: self.now,
             started_at: self.now,
             current: from,
             timeouts: 0,
-        };
-        self.pending.insert(tag, p);
-        self.start_attempt(net, tag);
+        });
+        self.start_attempt(net, slot);
     }
 
-    /// Opens the next attempt of `tag` through the shared
+    /// The request in `slot` while `gen` is its current attempt, or
+    /// `None` for a stale message.
+    fn current(&mut self, slot: u32, gen: u32) -> Option<&mut Pending> {
+        let s = &mut self.slots[slot as usize];
+        if s.generation != gen {
+            return None;
+        }
+        s.pending.as_mut()
+    }
+
+    /// The request in `slot` and its generation.
+    fn occupant(&mut self, slot: u32) -> (&mut Pending, u32) {
+        let s = &mut self.slots[slot as usize];
+        let p = s.pending.as_mut().expect("slot holds a request");
+        (p, s.generation)
+    }
+
+    /// Opens the next attempt of the request in `slot` through the shared
     /// [`open_attempt`](ChordNetwork) (backoff on retries, dead-origin
     /// exit, ordinal, trace), then queues its first `FindSuccessor` and
     /// its deadline, both after the backoff.
-    fn start_attempt(&mut self, net: &ChordNetwork, tag: u64) {
-        let p = self
-            .pending
-            .get_mut(&tag)
-            .expect("attempt for live request");
+    fn start_attempt(&mut self, net: &ChordNetwork, slot: u32) {
+        let (p, gen) = self.occupant(slot);
         let waited = p.attempt.spent.latency;
         let opened = net.open_attempt(&mut p.attempt, net.retry_policy());
         let start_delay = SimDuration::from_ticks(p.attempt.spent.latency - waited);
         if let Err(e) = opened {
             let at = self.now.saturating_add(start_delay);
-            self.complete(net, tag, Err(e), at);
+            self.complete(net, slot, Err(e), at);
             return;
         }
         p.current = p.attempt.from;
-        let gen = p.generation;
         let at = u32::try_from(p.current.index()).expect("arena indexes fit u32");
         self.schedule_in(
             start_delay,
             Message::FindSuccessor {
-                req: tag,
+                slot,
                 gen,
                 at,
                 hops: 0,
@@ -362,7 +437,7 @@ impl LookupEngine {
         );
         if let Some(ticks) = self.config.timeout_ticks {
             let deadline = SimDuration::from_ticks(start_delay.ticks().saturating_add(ticks));
-            self.schedule_in(deadline, Message::Timeout { req: tag, gen });
+            self.schedule_in(deadline, Message::Timeout { slot, gen });
         }
     }
 
@@ -384,22 +459,25 @@ impl LookupEngine {
     ) {
         loop {
             let sent = match msg {
-                Message::FindSuccessor { req, gen, at, hops } => {
-                    self.on_find(net, faults, req, gen, at, hops)
-                }
-                Message::NextHop { req, gen, next } => self.on_next(net, req, gen, next),
+                Message::FindSuccessor {
+                    slot,
+                    gen,
+                    at,
+                    hops,
+                } => self.on_find(net, faults, slot, gen, at, hops),
+                Message::NextHop { slot, gen, next } => self.on_next(net, slot, gen, next),
                 Message::Notify {
-                    req,
+                    slot,
                     gen,
                     owner,
                     hops,
                     captured,
                 } => {
-                    self.on_notify(net, req, gen, owner, hops, captured);
+                    self.on_notify(net, slot, gen, owner, hops, captured);
                     None
                 }
-                Message::Timeout { req, gen } => {
-                    self.on_timeout(net, req, gen);
+                Message::Timeout { slot, gen } => {
+                    self.on_timeout(net, slot, gen);
                     None
                 }
             };
@@ -423,13 +501,13 @@ impl LookupEngine {
         &mut self,
         net: &ChordNetwork,
         faults: &crate::FaultPlan,
-        req: u64,
+        slot: u32,
         gen: u32,
         at: u32,
         hops: u32,
     ) -> Option<(SimDuration, Message)> {
-        let p = self.pending.get_mut(&req)?;
-        if p.generation != gen || p.resolved {
+        let p = self.current(slot, gen)?;
+        if p.resolved {
             return None; // stale: the attempt was retried out from under it
         }
         let current = NodeId::from_index(at as usize);
@@ -448,7 +526,7 @@ impl LookupEngine {
             p.attempt.finish_trace(net, TraceOutcome::Unresolved);
             let delay = self.wall_delay(current, d);
             let reply = Message::NextHop {
-                req,
+                slot,
                 gen,
                 next: NO_NEXT,
             };
@@ -461,7 +539,7 @@ impl LookupEngine {
         let reply = match outcome {
             HopOutcome::Failed(e @ LookupError::HopLimitExceeded { .. }) => {
                 // The origin-side hop cap: nothing was sent.
-                self.attempt_failed(net, req, e);
+                self.attempt_failed(net, slot, e);
                 return None;
             }
             HopOutcome::Done(hit) => {
@@ -472,7 +550,7 @@ impl LookupEngine {
                 let _ = net.close_attempt(&mut p.attempt, net.retry_policy(), Ok(hit), &mut p.rng);
                 let captured = hit.point != net.node(hit.node).point();
                 Message::Notify {
-                    req,
+                    slot,
                     gen,
                     owner: u32::try_from(hit.node.index()).expect("arena indexes fit u32"),
                     hops: hit.hops,
@@ -480,7 +558,7 @@ impl LookupEngine {
                 }
             }
             HopOutcome::Forward(next) => Message::NextHop {
-                req,
+                slot,
                 gen,
                 next: u32::try_from(next.index()).expect("arena indexes fit u32"),
             },
@@ -489,7 +567,7 @@ impl LookupEngine {
                 // The failure still travels back to the origin before the
                 // policy reacts (its probes' latency is already charged).
                 Message::NextHop {
-                    req,
+                    slot,
                     gen,
                     next: NO_NEXT,
                 }
@@ -506,20 +584,20 @@ impl LookupEngine {
     fn on_next(
         &mut self,
         net: &ChordNetwork,
-        req: u64,
+        slot: u32,
         gen: u32,
         next: u32,
     ) -> Option<(SimDuration, Message)> {
-        let p = self.pending.get_mut(&req)?;
-        if p.generation != gen || p.resolved {
+        let p = self.current(slot, gen)?;
+        if p.resolved {
             return None;
         }
         if next == NO_NEXT {
-            self.attempt_failed(net, req, LookupError::SuccessorsAllDead);
+            self.attempt_failed(net, slot, LookupError::SuccessorsAllDead);
             return None;
         }
         let find = Message::FindSuccessor {
-            req,
+            slot,
             gen,
             at: next,
             hops: p.attempt.hops + 1,
@@ -531,16 +609,16 @@ impl LookupEngine {
     fn on_notify(
         &mut self,
         net: &ChordNetwork,
-        req: u64,
+        slot: u32,
         gen: u32,
         owner: u32,
         hops: u32,
         captured: bool,
     ) {
-        let Some(p) = self.pending.get(&req) else {
+        let Some(p) = self.current(slot, gen) else {
             return;
         };
-        if p.generation != gen || !p.resolved {
+        if !p.resolved {
             return;
         }
         let node = NodeId::from_index(owner as usize);
@@ -556,7 +634,7 @@ impl LookupEngine {
             hops,
             cost: p.attempt.spent,
         };
-        self.complete(net, req, Ok(result), self.now);
+        self.complete(net, slot, Ok(result), self.now);
     }
 
     /// A deadline fired. Stale generations and resolved attempts (the
@@ -564,17 +642,17 @@ impl LookupEngine {
     /// penalizes the peer being waited on, and — with a policy armed —
     /// preempts the attempt into retry/fallback. Without a policy it
     /// merely re-arms: pure observation.
-    fn on_timeout(&mut self, net: &ChordNetwork, req: u64, gen: u32) {
-        let Some(p) = self.pending.get_mut(&req) else {
-            return;
-        };
-        if p.generation != gen || p.resolved {
-            return;
-        }
+    fn on_timeout(&mut self, net: &ChordNetwork, slot: u32, gen: u32) {
         let timeout_ticks = self
             .config
             .timeout_ticks
             .expect("a deadline fired, so deadlines are armed");
+        let Some(p) = self.current(slot, gen) else {
+            return;
+        };
+        if p.resolved {
+            return;
+        }
         let recorder = net.metrics().recorder();
         recorder.incr(net.counters().engine_timeouts);
         p.timeouts += 1;
@@ -588,58 +666,59 @@ impl LookupEngine {
             scores.record(p.current, false);
         }
         if net.retry_policy().is_none() {
-            let gen = p.generation;
             let deadline = SimDuration::from_ticks(timeout_ticks);
-            self.schedule_in(deadline, Message::Timeout { req, gen });
+            self.schedule_in(deadline, Message::Timeout { slot, gen });
             return;
         }
         // Preempt: the attempt's probes were paid for even though it
         // never failed outright.
         p.attempt.finish_trace(net, TraceOutcome::Unresolved);
         let e = LookupError::TimedOut { timeout_ticks };
-        self.attempt_failed(net, req, e);
+        self.attempt_failed(net, slot, e);
     }
 
     /// Shared failure path: closes the attempt through
     /// [`close_attempt`](ChordNetwork), then either opens the next
     /// generation's attempt or completes with what the close returned —
     /// the error, or the fallback tiers' answer.
-    fn attempt_failed(&mut self, net: &ChordNetwork, req: u64, e: LookupError) {
-        let p = self
-            .pending
-            .get_mut(&req)
-            .expect("failed attempt has state");
+    fn attempt_failed(&mut self, net: &ChordNetwork, slot: u32, e: LookupError) {
+        let (p, _) = self.occupant(slot);
         let ControlFlow::Break(result) =
             net.close_attempt(&mut p.attempt, net.retry_policy(), Err(e), &mut p.rng)
         else {
-            p.generation += 1;
-            self.start_attempt(net, req);
+            let s = &mut self.slots[slot as usize];
+            s.generation = s.generation.wrapping_add(1);
+            self.start_attempt(net, slot);
             return;
         };
         // The fallback tiers resolve synchronously (walk hops are
         // successor-chain traversals from the origin, the quorum is an
         // out-of-band directory round); the wall-clock charge is their
         // latency on top of the routed attempts'.
+        let routed = p.attempt.spent.latency;
         let completed_at = match &result {
-            Ok(hit) => self.now.saturating_add(SimDuration::from_ticks(
-                hit.cost.latency - p.attempt.spent.latency,
-            )),
+            Ok(hit) => self
+                .now
+                .saturating_add(SimDuration::from_ticks(hit.cost.latency - routed)),
             Err(_) => self.now,
         };
-        self.complete(net, req, result, completed_at);
+        self.complete(net, slot, result, completed_at);
     }
 
-    /// Removes the request, records the engine-level telemetry
+    /// Frees the request's slot, records the engine-level telemetry
     /// (`engine.completions`, the `engine.inflight_age` tail the
     /// watchdog gates), stores the [`Completion`] and admits backlog.
     fn complete(
         &mut self,
         net: &ChordNetwork,
-        tag: u64,
+        slot: u32,
         result: Result<LookupResult, LookupError>,
         completed_at: SimTime,
     ) {
-        let p = self.pending.remove(&tag).expect("completion has state");
+        let s = &mut self.slots[slot as usize];
+        let p = s.pending.take().expect("completion has state");
+        s.generation = s.generation.wrapping_add(1);
+        self.free.push(slot);
         let recorder = net.metrics().recorder();
         recorder.incr(net.counters().engine_completions);
         let age = (completed_at - p.submitted_at).ticks();
@@ -651,7 +730,7 @@ impl LookupEngine {
             None => recorder.record(age_hist, age),
         }
         self.completions.push(Completion {
-            tag,
+            tag: p.tag,
             submitted_at: p.submitted_at,
             started_at: p.started_at,
             completed_at,
@@ -785,6 +864,185 @@ mod tests {
         assert!(failed > 0, "the crash must fail some walks");
         assert_eq!(traces.len(), 64, "one trace per attempt");
         assert_eq!(unresolved, failed);
+    }
+
+    /// What reached a recycled slot: the deliveries a slot's previous
+    /// occupants left queued, by kind.
+    #[derive(Debug, Default)]
+    struct Recycled {
+        /// Each admitted tag's slot generation when it moved in.
+        moved_in: std::collections::BTreeMap<u64, u32>,
+        timeouts: usize,
+        next_hops: usize,
+    }
+
+    impl Recycled {
+        fn note_occupants(&mut self, engine: &LookupEngine) {
+            for slot in &engine.slots {
+                if let Some(p) = &slot.pending {
+                    self.moved_in.entry(p.tag).or_insert(slot.generation);
+                }
+            }
+        }
+
+        /// Counts `msg` if it predates its slot's current occupant.
+        fn classify(&mut self, engine: &LookupEngine, msg: Message) {
+            let (slot, gen) = match msg {
+                Message::Timeout { slot, gen } | Message::NextHop { slot, gen, .. } => (slot, gen),
+                _ => return,
+            };
+            let s = &engine.slots[slot as usize];
+            let Some(p) = &s.pending else { return };
+            if gen < self.moved_in[&p.tag] {
+                match msg {
+                    Message::Timeout { .. } => self.timeouts += 1,
+                    _ => self.next_hops += 1,
+                }
+            }
+        }
+    }
+
+    /// `run_until` with every queued delivery classified against the
+    /// slot it reaches (direct hand-offs are always current).
+    fn run_until_classified(
+        engine: &mut LookupEngine,
+        net: &ChordNetwork,
+        deadline: SimTime,
+        seen: &mut Recycled,
+    ) {
+        let faults = crate::FaultPlan::none();
+        engine.admit(net);
+        seen.note_occupants(engine);
+        while let Some((t, msg)) = engine.queue.pop_due(deadline) {
+            engine.now = t;
+            seen.classify(engine, msg);
+            engine.process(net, &faults, msg, deadline);
+            seen.note_occupants(engine);
+        }
+        engine.now = engine.now.max(deadline);
+    }
+
+    #[test]
+    fn recycled_slots_drop_what_their_previous_occupants_left_queued() {
+        // Three slots serve 240 lookups in waves of three: a wave goes in
+        // once the last one has completed. Deadlines (armed well past an
+        // honest walk) stay queued behind every request that beats them,
+        // and walks through a 32x slow sector time out, retry and finish
+        // while the preempted attempt's reply is still on the wire — so
+        // recycled slots keep meeting both kinds of stale delivery.
+        // Every tag must complete exactly once, and with scoring off the
+        // tag-keyed report must not depend on which slot a tag drew:
+        // shuffling each wave's submission order leaves it unchanged.
+        let space = KeySpace::full();
+        let mut r = StdRng::seed_from_u64(31);
+        let mut net = ChordNetwork::bootstrap(
+            space,
+            space.random_points(&mut r, 256),
+            crate::ChordConfig::default().with_latency(simnet::LatencyModel::Constant(4)),
+        );
+        net.enable_retry_policy(crate::RetryPolicy::default());
+        let mut ring = net.live_ids();
+        ring.sort_by_key(|&id| net.node(id).point());
+        let slow: BTreeSet<NodeId> = ring[96..160].iter().copied().collect();
+        let fast: Vec<NodeId> = ring
+            .iter()
+            .copied()
+            .filter(|id| !slow.contains(id))
+            .collect();
+        let waves: Vec<Vec<(u64, NodeId, Point)>> = (0..80u64)
+            .map(|w| {
+                (0..3)
+                    .map(|k| {
+                        let origin = fast[r.gen_range(0..fast.len())];
+                        (3 * w + k, origin, Point::new(r.gen()))
+                    })
+                    .collect()
+            })
+            .collect();
+        let run = |shuffle: Option<u64>| {
+            let mut order = StdRng::seed_from_u64(shuffle.unwrap_or(0));
+            let mut engine = LookupEngine::new(EngineConfig {
+                timeout_ticks: Some(40),
+                max_inflight: 3,
+                seed: 77,
+            });
+            engine.set_slow_overlay(Some(SlowOverlay {
+                nodes: slow.clone(),
+                factor: 32,
+                from: SimTime::ZERO,
+                until: SimTime::from_ticks(u64::MAX),
+            }));
+            let mut seen = Recycled::default();
+            for wave in &waves {
+                let mut wave = wave.clone();
+                if shuffle.is_some() {
+                    for i in (1..wave.len()).rev() {
+                        wave.swap(i, order.gen_range(0..=i));
+                    }
+                }
+                for (tag, origin, target) in wave {
+                    engine.submit_tagged(&net, tag, origin, target);
+                }
+                while engine.in_flight() > 0 {
+                    let next = SimTime::from_ticks(engine.now().ticks() + 1);
+                    run_until_classified(&mut engine, &net, next, &mut seen);
+                }
+            }
+            engine.drain(&net, &crate::FaultPlan::none());
+            let tags: BTreeSet<u64> = engine.completions().iter().map(|c| c.tag).collect();
+            assert_eq!(engine.completions().len(), 240, "a tag completed twice");
+            assert_eq!(tags, (0..240).collect(), "a tag never completed");
+            (engine.report_digest(), seen)
+        };
+        let (digest, seen) = run(None);
+        assert!(
+            seen.timeouts > 0,
+            "no stale deadline met a recycled slot: {seen:?}"
+        );
+        assert!(
+            seen.next_hops > 0,
+            "no stale reply met a recycled slot: {seen:?}"
+        );
+        assert_eq!(digest, run(Some(5)).0);
+        assert_eq!(digest, run(Some(6)).0);
+    }
+
+    #[test]
+    fn a_repeated_tag_panics() {
+        let net = scored_ring(4);
+        let origin = net.live_ids()[0];
+        for tag in [3, u64::MAX] {
+            let mut engine = LookupEngine::new(EngineConfig::default());
+            engine.submit_tagged(&net, tag, origin, Point::new(7));
+            let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.submit_tagged(&net, tag, origin, Point::new(9));
+            }));
+            let err = again.expect_err("a repeated tag must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("the panic carries a formatted message");
+            assert_eq!(*msg, format!("duplicate request tag {tag}"));
+        }
+    }
+
+    #[test]
+    fn tag_set_agrees_with_an_ordered_set() {
+        // Sequential runs, permuted dense blocks, tags past the dense
+        // prefix that it later grows over, and the extremes of `u64`.
+        for seed in 0..24u64 {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut tags: Vec<u64> = (0..3_000).collect();
+            tags.extend((0..200).map(|_| r.gen_range(0..200_000u64)));
+            tags.extend((0..50).map(|_| r.gen::<u64>()));
+            tags.extend([u64::MAX, u64::MAX - 1, 0, 1 << 40]);
+            for i in (1..tags.len()).rev() {
+                tags.swap(i, r.gen_range(0..=i));
+            }
+            let (mut set, mut model) = (TagSet::default(), BTreeSet::new());
+            for &tag in tags.iter().chain(&tags[..500]) {
+                assert_eq!(set.insert(tag), model.insert(tag), "seed {seed} tag {tag}");
+            }
+        }
     }
 
     #[test]

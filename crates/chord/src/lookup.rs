@@ -529,6 +529,22 @@ impl ChordNetwork {
     /// no candidate at all) runs the ordered walk, which re-derives the
     /// same first probe, so every message, latency draw, score update
     /// and counter is bit-identical either way.
+    ///
+    /// On an exact finger table ([`finger_table_exact`]) the fingers'
+    /// share of that pass is a scan of the sorted runs instead of a read
+    /// of every run's ring point. Each finger `b` then holds the true
+    /// live successor of `at + 2^b`, so run `k`, starting at bit `s_k`,
+    /// holds a node at a distance in `[2^s_k, 2^s_(k+1))`; only the last
+    /// run may instead wrap round to `at`'s own point (distance 0). The
+    /// in-range runs are therefore a prefix of the table, ordered by
+    /// distance. The scan starts at the highest run with `2^s < span`
+    /// (every run above it lies at or past the target), steps down past
+    /// it if its node is out of range, and stops at the first in-range
+    /// run that is not score-penalized — usually one or two point reads.
+    /// That run is the one the full pass would pick: no two runs of an
+    /// exact table share a distance, so there is no tie to break.
+    ///
+    /// [`finger_table_exact`]: ChordNetwork::finger_table_exact
     fn closest_preceding<R: Rng + ?Sized>(
         &self,
         at: NodeId,
@@ -545,19 +561,42 @@ impl ChordNetwork {
         let first = {
             let scores = self.scores().map(|s| s.borrow());
             let node = self.node(at);
-            node.fingers()
-                .distinct()
-                .chain(node.successors().iter())
-                .filter(|&c| c != at)
-                .filter_map(|c| {
-                    let d = space.distance(at_point, self.node(c).point());
-                    let in_range = !d.is_zero() && (span.is_zero() || d < span);
-                    in_range.then(|| {
-                        let healthy = scores.as_ref().is_none_or(|s| !s.penalized(c));
-                        ((healthy, d), c)
-                    })
+            // An in-range candidate's `(not penalized, distance)` key;
+            // `at` itself sits at distance 0, out of range.
+            let keyed = |c: NodeId| {
+                let d = space.distance(at_point, self.node(c).point());
+                let in_range = !d.is_zero() && (span.is_zero() || d < span);
+                in_range.then(|| {
+                    let healthy = scores.as_ref().is_none_or(|s| !s.penalized(c));
+                    ((healthy, d), c)
                 })
-                .max_by_key(|&(key, _)| key)
+            };
+            let fingers = node.fingers();
+            let best_finger = if self.finger_table_exact(at) {
+                // Runs starting below bit `ilog2(span - 1) + 1` have
+                // `2^s < span`; a zero span (the whole ring) admits all.
+                let below = 64 - span.get().wrapping_sub(1).leading_zeros();
+                let mut in_range = fingers.runs_starting_below(below).rev().filter_map(&keyed);
+                let top = in_range.next();
+                match top {
+                    Some(((false, _), _)) => in_range.find(|&((healthy, _), _)| healthy).or(top),
+                    _ => top,
+                }
+            } else {
+                fingers
+                    .distinct()
+                    .filter_map(&keyed)
+                    .max_by_key(|&(key, _)| key)
+            };
+            // The successor list joins the same maximum, the later of two
+            // equal keys winning as in `max_by_key`.
+            node.successors()
+                .iter()
+                .filter_map(&keyed)
+                .fold(best_finger, |best, (key, c)| match best {
+                    Some((top, _)) if top > key => best,
+                    _ => Some((key, c)),
+                })
                 .map(|(_, c)| c)
         };
         match first {
@@ -1305,59 +1344,93 @@ mod tests {
         assert_eq!(traced, untraced);
     }
 
-    /// A ring from `seed`, damaged the way a lookup meets it between
-    /// maintenance rounds: `crashes` random crashes without repair (dead
-    /// fingers and successor entries), then `joins` protocol joins
-    /// without stabilization (stale fingers). Same arguments, same ring.
-    fn damaged_ring(
+    /// How [`damaged_ring`] builds and damages a test ring.
+    #[derive(Debug, Clone, Copy)]
+    struct RingShape {
+        modulus: u128,
         n: usize,
-        seed: u64,
+        /// A protocol join on an occupied point, then a `bulk_join` of
+        /// `n / 4` fresh points that rebuilds every table around the
+        /// co-located pair.
+        twin: bool,
         crashes: usize,
         joins: usize,
         adaptive: bool,
         latency: simnet::LatencyModel,
-    ) -> ChordNetwork {
-        let space = KeySpace::full();
+    }
+
+    /// A ring from `seed` in `shape`, damaged the way a lookup meets it
+    /// between maintenance rounds: `crashes` random crashes without
+    /// repair (dead fingers and successor entries), then `joins` protocol
+    /// joins without stabilization (stale fingers). With scoring on, an
+    /// eighth of the live nodes then take the two strikes an engine
+    /// deadline records against a slow peer, so live fingers of exact
+    /// tables are penalized too. Same arguments, same ring.
+    fn damaged_ring(shape: RingShape, seed: u64) -> ChordNetwork {
+        let space = KeySpace::with_modulus(shape.modulus).unwrap();
         let mut r = rand::rngs::StdRng::seed_from_u64(seed);
         let mut net = ChordNetwork::bootstrap(
             space,
-            space.random_points(&mut r, n),
-            ChordConfig::default().with_latency(latency),
+            space.random_points(&mut r, shape.n),
+            ChordConfig::default().with_latency(shape.latency),
         );
-        if adaptive {
+        if shape.twin {
+            let ids = net.live_ids();
+            let occupied = net.node(ids[ids.len() / 2]).point();
+            net.join(occupied, ids[0], &mut r).unwrap();
+            net.bulk_join(space.random_points(&mut r, shape.n / 4));
+        }
+        if shape.adaptive {
             net.enable_adaptive_routing(crate::AdaptiveConfig::default());
         }
-        for _ in 0..crashes {
+        for _ in 0..shape.crashes {
             let live = net.live_ids();
             net.crash(live[r.gen_range(0..live.len())]);
         }
-        for _ in 0..joins {
+        for _ in 0..shape.joins {
             let live = net.live_ids();
             let via = live[r.gen_range(0..live.len())];
             let point = space.random_point(&mut r);
             let _ = net.join(point, via, &mut r);
         }
+        if let Some(scores) = net.scores() {
+            let live = net.live_ids();
+            for _ in 0..live.len() / 8 {
+                let slow = live[r.gen_range(0..live.len())];
+                scores.borrow_mut().record(slow, false);
+                scores.borrow_mut().record(slow, false);
+            }
+        }
         net
+    }
+
+    /// What [`assert_selection_matches`] saw across its selections.
+    #[derive(Debug, Default)]
+    struct SelectionCounts {
+        /// Selections with a penalized candidate.
+        penalized: usize,
+        /// Selections that paid a dead probe (the ordered-walk fallback).
+        fallbacks: usize,
+        /// Selections at an exact finger table (the sorted-run scan).
+        scans: usize,
     }
 
     /// Runs `queries` random `(at, target)` selections on twin rings,
     /// the one-pass `closest_preceding` on `fast` and the ordered walk
     /// on `reference`, and checks every observable side effect agrees.
-    /// Returns how many selections found a penalized candidate and how
-    /// many paid a dead probe (the ordered-walk fallback).
     fn assert_selection_matches(
         fast: &ChordNetwork,
         reference: &ChordNetwork,
         queries: usize,
         seed: u64,
-    ) -> (usize, usize) {
+    ) -> SelectionCounts {
         let mut r = rand::rngs::StdRng::seed_from_u64(seed);
         let dead_probes = |net: &ChordNetwork| {
             net.metrics()
                 .recorder()
                 .counter_value(net.counters().lookup_dead_probe)
         };
-        let (mut penalized_seen, mut fallbacks) = (0, 0);
+        let mut seen = SelectionCounts::default();
         let all = fast.node_ids();
         for q in 0..queries {
             let live = fast.live_ids();
@@ -1377,7 +1450,10 @@ mod tests {
                 .chain(node.successors().iter())
                 .collect();
             if candidates.iter().any(|&c| fast.peer_penalized(c)) {
-                penalized_seen += 1;
+                seen.penalized += 1;
+            }
+            if fast.finger_table_exact(at) {
+                seen.scans += 1;
             }
             let probe_seed = r.gen::<u64>();
             let (mut fast_rng, mut ref_rng) = (
@@ -1428,47 +1504,81 @@ mod tests {
                 );
             }
             if dead_delta > 0 {
-                fallbacks += 1;
+                seen.fallbacks += 1;
             }
         }
-        (penalized_seen, fallbacks)
+        seen
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
 
         #[test]
         fn one_pass_selection_matches_the_ordered_walk(
+            // The full ring; one whose top finger target leaves a 7-point
+            // arc, so the last run usually wraps; a small decimal ring.
+            m in 0usize..3,
             n in 24usize..=160,
             seed in 0u64..1_000_000,
+            twin in proptest::prelude::any::<bool>(),
+            intact in proptest::prelude::any::<bool>(),
             crash_pct in 0usize..=30,
             join_pct in 0usize..=20,
             adaptive in proptest::prelude::any::<bool>(),
             sampled in proptest::prelude::any::<bool>(),
         ) {
-            let latency = if sampled {
-                simnet::LatencyModel::Uniform { lo: 1, hi: 40 }
+            let (crashes, joins) = if intact {
+                (0, 0)
             } else {
-                simnet::LatencyModel::UNIT
+                (n * crash_pct / 100, n * join_pct / 100)
             };
-            let (crashes, joins) = (n * crash_pct / 100, n * join_pct / 100);
-            let fast = damaged_ring(n, seed, crashes, joins, adaptive, latency);
-            let reference = damaged_ring(n, seed, crashes, joins, adaptive, latency);
-            assert_selection_matches(&fast, &reference, 64, seed ^ 0x005E_1EC7);
+            let shape = RingShape {
+                modulus: [1 << 64, (1 << 20) + 7, 1000][m],
+                n,
+                twin,
+                crashes,
+                joins,
+                adaptive,
+                latency: if sampled {
+                    simnet::LatencyModel::Uniform { lo: 1, hi: 40 }
+                } else {
+                    simnet::LatencyModel::UNIT
+                },
+            };
+            let fast = damaged_ring(shape, seed);
+            let reference = damaged_ring(shape, seed);
+            let seen = assert_selection_matches(&fast, &reference, 64, seed ^ 0x005E_1EC7);
+            // A converged ring, co-located pair or not, has only exact
+            // tables.
+            proptest::prop_assert!(!intact || seen.scans == 64, "{:?}: {:?}", shape, seen);
         }
     }
 
     #[test]
     fn selection_equivalence_reaches_penalties_and_dead_first_picks() {
         // The property above is only as strong as the states it visits:
-        // pin that a crash-heavy adaptive ring exercises both the
-        // score-demoted ranking and the ordered-walk fallback.
-        let latency = simnet::LatencyModel::Uniform { lo: 1, hi: 40 };
-        let fast = damaged_ring(96, 9, 24, 8, true, latency);
-        let reference = damaged_ring(96, 9, 24, 8, true, latency);
-        let (penalized_seen, fallbacks) = assert_selection_matches(&fast, &reference, 400, 17);
-        assert!(penalized_seen > 0, "no selection met a penalized candidate");
-        assert!(fallbacks > 0, "no selection fell back to the ordered walk");
+        // pin that a crash-heavy adaptive ring exercises the score-demoted
+        // ranking, the ordered-walk fallback, and both the sorted-run scan
+        // of exact tables and the full pass over stale ones.
+        let shape = RingShape {
+            modulus: 1 << 64,
+            n: 96,
+            twin: false,
+            crashes: 24,
+            joins: 8,
+            adaptive: true,
+            latency: simnet::LatencyModel::Uniform { lo: 1, hi: 40 },
+        };
+        let fast = damaged_ring(shape, 9);
+        let reference = damaged_ring(shape, 9);
+        let seen = assert_selection_matches(&fast, &reference, 400, 17);
+        assert!(seen.penalized > 0, "no selection met a penalized candidate");
+        assert!(
+            seen.fallbacks > 0,
+            "no selection fell back to the ordered walk"
+        );
+        assert!(seen.scans > 0, "no selection scanned an exact table");
+        assert!(seen.scans < 400, "no selection took the full pass");
     }
 
     #[test]

@@ -16,17 +16,18 @@ pub const NO_NEXT: u32 = u32::MAX;
 
 /// One protocol message of the async lookup engine.
 ///
-/// `req` is the engine-level request tag; `gen` the request's attempt
-/// generation — a delivery whose generation no longer matches is stale
-/// (its attempt was retried or completed) and is dropped, which is what
-/// makes completion exactly-once under timeout races.
+/// `slot` is the request's slot in the engine's request table; `gen` the
+/// slot's attempt generation — a delivery whose generation no longer
+/// matches is stale (its attempt was retried, or its request completed
+/// and the slot moved on to another) and is dropped, which is what makes
+/// completion exactly-once under timeout races.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Message {
-    /// Origin → hop: route one step of the walk for request `req` at
-    /// node `at`, `hops` steps deep.
+    /// Origin → hop: route one step of the walk for the request in
+    /// `slot` at node `at`, `hops` steps deep.
     FindSuccessor {
-        /// Request tag.
-        req: u64,
+        /// Request slot.
+        slot: u32,
         /// Attempt generation.
         gen: u32,
         /// Node processing this step (arena index).
@@ -37,8 +38,8 @@ pub enum Message {
     /// Hop → origin: forward the walk to `next` ([`NO_NEXT`] = the hop
     /// failed to make progress).
     NextHop {
-        /// Request tag.
-        req: u64,
+        /// Request slot.
+        slot: u32,
         /// Attempt generation.
         gen: u32,
         /// Next node to ask (arena index), or [`NO_NEXT`].
@@ -48,8 +49,8 @@ pub enum Message {
     /// `captured` marks a Byzantine capture (the answer point is the
     /// target itself — the forged lie — not the owner's ring point).
     Notify {
-        /// Request tag.
-        req: u64,
+        /// Request slot.
+        slot: u32,
         /// Attempt generation.
         gen: u32,
         /// Answering node (arena index).
@@ -62,8 +63,8 @@ pub enum Message {
     /// Self-addressed wakeup: the attempt's deadline expired. Stale once
     /// the attempt resolved or was already retried.
     Timeout {
-        /// Request tag.
-        req: u64,
+        /// Request slot.
+        slot: u32,
         /// Attempt generation this deadline was armed for.
         gen: u32,
     },

@@ -577,6 +577,18 @@ impl ChordNetwork {
         self.ledger.bytes()
     }
 
+    /// Whether every finger of `id` is the true live successor of its
+    /// target — the ledger's correct-finger mask for `id` is full. Only a
+    /// live node's table can be exact.
+    pub(crate) fn finger_table_exact(&self, id: NodeId) -> bool {
+        self.ledger.fok[id.0] == self.full_finger_mask()
+    }
+
+    /// The mask with every finger bit set.
+    fn full_finger_mask(&self) -> u64 {
+        u64::MAX >> (64 - self.finger_bits)
+    }
+
     /// Turns on adaptive peer scoring: routed lookups start folding every
     /// probe outcome into a per-peer [`PeerScores`] table and ranking
     /// alternative next-hops (successor-list entries, lower finger
@@ -1026,6 +1038,7 @@ impl ChordNetwork {
         // By construction nothing is stale; the co-located recomputes
         // below re-mark the few exceptions.
         self.dirty.reset(n);
+        let full = self.full_finger_mask();
         let l = &mut self.ledger;
         l.flags.clear();
         l.flags.resize(n, 0);
@@ -1035,11 +1048,6 @@ impl ChordNetwork {
         l.fok.resize(n, 0);
         l.dsucc.clear();
         l.dsucc.resize(n, NONE32);
-        let full: u64 = if self.finger_bits == 64 {
-            !0
-        } else {
-            (1u64 << self.finger_bits) - 1
-        };
         let mut spairs: Vec<(u32, u32)> = Vec::with_capacity(self.live_set.len());
         let mut ppairs: Vec<(u32, u32)> = Vec::with_capacity(self.live_set.len());
         for &id in &self.live_set {

@@ -54,7 +54,6 @@
 pub mod assignment;
 pub mod weighted;
 
-mod batch;
 mod config;
 mod cost;
 mod dht;
@@ -64,7 +63,6 @@ mod oracle;
 mod sampler;
 pub mod theory;
 
-pub use batch::{Batch, DistinctBatch, DistinctError};
 pub use config::{ConfigError, SamplerConfig, DEFAULT_LAMBDA_DENOMINATOR};
 pub use cost::Cost;
 pub use dht::{Dht, DhtError, Resolved};

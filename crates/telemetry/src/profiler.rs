@@ -129,13 +129,6 @@ impl SpanProfiler {
         out
     }
 
-    /// Zeroes every span's cost; registrations stay valid.
-    pub fn reset(&self) {
-        for slot in self.costs.iter() {
-            slot.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Approximate resident bytes (slots plus interned name pointers).
     pub fn bytes(&self) -> usize {
         SPAN_CAPACITY * 8 + self.names.lock().len() * 16
@@ -196,17 +189,6 @@ mod tests {
             p.collapsed(),
             "lookup;finger_walk 12\nlookup;retry_backoff 40\n"
         );
-    }
-
-    #[test]
-    fn reset_preserves_registrations() {
-        let p = SpanProfiler::new();
-        let s = p.span("x");
-        p.add(s, 9);
-        p.reset();
-        assert_eq!(p.totals()["x"], 0);
-        assert_eq!(p.span("x"), s);
-        assert!(p.bytes() > 0);
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl HistSlot {
         })
     }
 
-    /// Folds `value` into the exact extrema. Between resets both only
-    /// ever move outward, so a relaxed load that already covers `value`
+    /// Folds `value` into the exact extrema. Both only ever move
+    /// outward, so a relaxed load that already covers `value`
     /// proves the current extremum does too; the read-modify-write runs
     /// only when `value` extends the range, which in steady state is
     /// almost never.
@@ -112,17 +112,6 @@ impl HistSlot {
         let mut out = std::mem::take(&mut *slots);
         out.sort_by_key(|e| e.bucket);
         out
-    }
-
-    fn reset(&self) {
-        if let Some(buckets) = self.buckets.get() {
-            for b in buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        let _ = self.take_exemplars();
     }
 }
 
@@ -222,17 +211,6 @@ impl Recorder {
             Some(idx) => self.counters[idx].load(Ordering::Relaxed),
             None => 0,
         }
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn sum_prefixed(&self, prefix: &str) -> u64 {
-        let names = self.counter_names.lock();
-        names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.starts_with(prefix))
-            .map(|(i, _)| self.counters[i].load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Deterministically ordered snapshot of every counter with a nonzero
@@ -337,8 +315,8 @@ impl Recorder {
 
     /// Closes the current observation window and returns it: the delta of
     /// every registered counter and histogram since the previous
-    /// `reset_window` call (or since construction / [`Recorder::reset`]
-    /// for the first window), then advances the window boundary. The
+    /// `reset_window` call (or since construction for the first window),
+    /// then advances the window boundary. The
     /// cumulative counters and histograms themselves are **not** touched,
     /// so end-of-run totals are unaffected by windowing.
     ///
@@ -420,8 +398,7 @@ impl Recorder {
         self.health.lock().push(event);
     }
 
-    /// Every health event pushed since construction or [`Recorder::reset`],
-    /// in emission order.
+    /// Every health event pushed since construction, in emission order.
     pub fn health_events(&self) -> Vec<HealthEventRecord> {
         self.health.lock().clone()
     }
@@ -471,25 +448,6 @@ impl Recorder {
     }
 
     // ---- lifecycle / accounting ----
-
-    /// Zeroes every counter and histogram and clears traces, the trace
-    /// digest, and the window boundary (the next
-    /// [`Recorder::reset_window`] is window 0 again). Registered names
-    /// and handles stay valid.
-    pub fn reset(&self) {
-        for c in self.counters.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for slot in self.hist_slots.iter() {
-            slot.reset();
-        }
-        let cap = self.flight.lock().capacity();
-        *self.flight.lock() = FlightRecorder::new(cap);
-        *self.window.lock() = WindowState::default();
-        self.health.lock().clear();
-        self.op_seq.store(0, Ordering::Relaxed);
-        self.profiler.reset();
-    }
 
     /// Approximate resident bytes of the recorder's storage (counter
     /// slots, allocated histogram buckets, interned names); the scale
@@ -602,17 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_prefixed_matches_legacy_semantics() {
-        let r = Recorder::new();
-        r.add(r.counter("lookup.hops"), 3);
-        r.add(r.counter("lookup.start"), 1);
-        r.add(r.counter("stabilize"), 10);
-        assert_eq!(r.sum_prefixed("lookup."), 4);
-        assert_eq!(r.sum_prefixed(""), 14);
-        assert_eq!(r.sum_prefixed("nothing"), 0);
-    }
-
-    #[test]
     fn histogram_snapshot_reports_percentiles() {
         let r = Recorder::new();
         let h = r.histogram("hops");
@@ -666,23 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_preserves_registrations() {
-        let r = Recorder::new();
-        let c = r.counter("c");
-        let h = r.histogram("h");
-        r.add(c, 9);
-        r.record(h, 9);
-        r.set_tracing(true);
-        r.push_trace(tiny_trace(0));
-        r.reset();
-        assert_eq!(r.counter_value(c), 0);
-        assert!(r.histogram_snapshot(h).is_empty());
-        assert!(r.traces().is_empty());
-        assert_eq!(r.trace_digest(), FlightRecorder::new(1).digest());
-        assert_eq!(r.counter("c"), c, "registration survives reset");
-    }
-
-    #[test]
     fn window_deltas_never_drop_previously_nonzero_counters() {
         let r = Recorder::new();
         let a = r.counter("a");
@@ -730,20 +660,6 @@ mod tests {
         assert!(h1.min() > 3);
         assert_eq!(r.histogram_snapshot(h).count(), 5);
         assert_eq!(r.histogram_snapshot(h).max(), 200);
-    }
-
-    #[test]
-    fn reset_rewinds_window_index_and_bases() {
-        let r = Recorder::new();
-        let c = r.counter("c");
-        r.add(c, 7);
-        let w0 = r.reset_window();
-        assert_eq!((w0.index, w0.counters["c"]), (0, 7));
-        r.reset();
-        r.add(c, 2);
-        let w = r.reset_window();
-        assert_eq!(w.index, 0, "reset rewinds the window clock");
-        assert_eq!(w.counters["c"], 2, "bases rewind with the counters");
     }
 
     #[test]

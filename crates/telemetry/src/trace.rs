@@ -161,10 +161,6 @@ impl FlightRecorder {
     pub(crate) fn digest(&self) -> u64 {
         self.digest
     }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 /// An exported bundle of retained traces, ready for rendering.
