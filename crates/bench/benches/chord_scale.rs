@@ -21,6 +21,10 @@
 //!   footprint amortized per node. Bar: ≤ 4 B/node. The always-on
 //!   explainability bundle (op ordinal + span attribution + exemplar
 //!   capture) is gated separately at ≤ 2% of a routed lookup.
+//! * **churn repair wall** — the 64-crash churn batch plus the batched
+//!   rounds that drain it, in milliseconds (`churn_drain_ms`). Recorded,
+//!   not gated: it tracks the membership and maintenance bookkeeping
+//!   around the drain's routed lookups.
 //!
 //! With `RP_ENFORCE_BENCH=1` the process exits non-zero when any bar
 //! is missed — CI runs it that way so a regression fails the job.
@@ -190,7 +194,9 @@ fn emit_json_point() -> bool {
     let mut maintenance_bytes = net.maintenance_bytes() as f64 / SCALE_N as f64;
 
     // Per-round verification polling, with pending churn deltas absorbed.
+    let churn_start = Instant::now();
     churn_batch(&mut net, 64);
+    let mut churn_drain_ms = churn_start.elapsed().as_secs_f64() * 1e3;
     let incr_ns = measure(50_000, || net.verify_ring());
     let full_ns = measure(10, || net.verify_ring_full());
     let verify_speedup = full_ns / incr_ns.max(1e-9);
@@ -203,11 +209,13 @@ fn emit_json_point() -> bool {
     let mut rng = StdRng::seed_from_u64(99);
     let mut drain_lookups = 0u64;
     let mut drain_rounds = 0u32;
+    let drain_start = Instant::now();
     while net.maintenance_backlog() > 0 && drain_rounds < 256 {
         let w = net.batched_maintenance_round(MaintenanceBudget::unlimited(), &mut rng);
         drain_lookups += w.lookups;
         drain_rounds += 1;
     }
+    churn_drain_ms += drain_start.elapsed().as_secs_f64() * 1e3;
     let drained = net.maintenance_backlog() == 0;
     assert_eq!(net.verify_ring(), net.verify_ring_full(), "drain desynced");
     // The dirty set is busiest right after a churn batch; gate on the
@@ -362,6 +370,7 @@ fn emit_json_point() -> bool {
          \"maintenance_full_round_lookups\": {SCALE_N}, \
          \"maintenance_bytes_per_node\": {maintenance_bytes:.1}, \
          \"maintenance_bytes_budget\": {MAINTENANCE_BYTES_BUDGET}, \
+         \"churn_drain_ms\": {churn_drain_ms:.1}, \
          \"lookup_ns\": {lookup_ns:.0}, \
          \"telemetry_event_ns\": {telemetry_event_ns:.1}, \
          \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2}, \
@@ -422,7 +431,8 @@ fn emit_json_point() -> bool {
     );
     println!(
         "batched maintenance: {dirty_after_churn} dirty entries after 64 crashes, drained \
-         in {drain_rounds} rounds / {drain_lookups} lookups vs {SCALE_N} per classic round; \
+         in {drain_rounds} rounds / {drain_lookups} lookups vs {SCALE_N} per classic round \
+         ({churn_drain_ms:.1} ms with the crashes, recorded); \
          dirty set {maintenance_bytes:.1} B/node (budget {MAINTENANCE_BYTES_BUDGET}) ({})",
         if maintenance_ok { "ok" } else { "REGRESSED" }
     );

@@ -6,7 +6,10 @@
 //! `BENCH_ringidx.json` history at the repo root (entries keyed by
 //! `RP_BENCH_SHA`, deduped per revision — see `bench::history`). The
 //! acceptance bar for the index is a ≥10× successor-query speedup at
-//! n = 10⁴.
+//! n = 10⁴. The point also times the index's successor query alone at
+//! n = 10⁵ / 10⁶, where the chunk list outgrows the cache and the
+//! chunk-level search reads the fence column (a scan there would take
+//! milliseconds per query).
 
 use std::time::Instant;
 
@@ -17,6 +20,8 @@ use rand::SeedableRng;
 use ringidx::RingIndex;
 
 const SIZES: [usize; 2] = [1_000, 10_000];
+/// Sizes timed on the index side only.
+const INDEX_ONLY_SIZES: [usize; 2] = [100_000, 1_000_000];
 
 fn entries(space: KeySpace, n: usize, seed: u64) -> Vec<(Point, u64)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -96,6 +101,15 @@ fn emit_json_point() {
              \"successor_index_ns\": {index_ns:.1}, \"successor_scan_ns\": {scan_ns:.1}, \
              \"successor_speedup\": {:.1}, \"bulk_build_ns\": {bulk_ns:.0}}}",
             scan_ns / index_ns.max(1e-9),
+        ));
+    }
+    for n in INDEX_ONLY_SIZES {
+        let index = RingIndex::bulk(space, entries(space, n, 7));
+        let mut rng = StdRng::seed_from_u64(11);
+        let index_ns = measure(200_000, || index.successor(space.random_point(&mut rng)));
+        lines.push(format!(
+            "{{\"bench\": \"ringidx_vs_scan\", \"n\": {n}, \
+             \"successor_index_ns\": {index_ns:.1}}}"
         ));
     }
     // CARGO_MANIFEST_DIR = crates/bench; the trajectory file lives at the

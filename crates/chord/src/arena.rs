@@ -18,9 +18,10 @@
 //!   stored as runs: a per-node `u64` *run-start mask* (bit `b` set ⇔ a
 //!   new run begins at finger bit `b`) and `popcount(mask)` run values in
 //!   a shared `Vec<u32>` span. Reading entry `b` is a popcount and one
-//!   load; point updates rewrite one node's ≤ 64-entry run list. Spans
-//!   that outgrow their capacity relocate to the end of the shared buffer
-//!   and the buffer compacts when garbage exceeds half its length.
+//!   load; a write of any set of levels rewrites one node's ≤ 64-entry
+//!   run list once. Spans that outgrow their capacity relocate to the end
+//!   of the shared buffer and the buffer compacts when garbage exceeds
+//!   half its length.
 //!
 //! Net effect: ~130 bytes of routing state per node at n = 10⁵ (measure
 //! it with `RoutingArena::routing_bytes`), a ≥ 8× reduction that lets
@@ -198,64 +199,58 @@ impl RoutingArena {
         decode(self.finger_vals[self.finger_off[i] as usize + run])
     }
 
-    /// Point-updates one finger entry, splitting/merging runs as needed.
-    /// Returns whether the table changed.
-    pub(crate) fn set_finger(&mut self, i: usize, bit: usize, val: Option<usize>) -> bool {
-        debug_assert!(bit < self.finger_bits);
-        let v = encode(val);
-        if encode(self.finger(i, bit)) == v {
-            return false;
-        }
-        // Decode the current run list into scratch (≤ finger_bits runs).
-        let mut starts = [0u8; 64];
-        let mut vals = [NONE; 64];
-        let mut k = 0usize;
-        let mut mask = self.finger_mask[i];
-        if mask == 0 {
-            k = 1; // one all-`None` run
-        } else {
-            let off = self.finger_off[i] as usize;
-            while mask != 0 {
-                starts[k] = mask.trailing_zeros() as u8;
-                vals[k] = self.finger_vals[off + k];
-                mask &= mask - 1;
-                k += 1;
+    /// Sets every finger level in `levels` to `val` with one rewrite of
+    /// the run list, merging equal-valued neighbours. Returns the levels
+    /// whose entry changed; when none did, the table is left untouched
+    /// after one decode per level.
+    pub(crate) fn set_fingers(&mut self, i: usize, levels: u64, val: Option<usize>) -> u64 {
+        debug_assert!(levels >> (self.finger_bits - 1) >> 1 == 0);
+        let mut changed = 0u64;
+        let mut rest = levels;
+        while rest != 0 {
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if self.finger(i, b) != val {
+                changed |= 1 << b;
             }
         }
-        // Rebuild with `bit` overridden, merging equal-valued neighbours.
-        let mut ns = [0u8; 66];
-        let mut nv = [NONE; 66];
-        let mut m = 0usize;
-        macro_rules! emit {
-            ($s:expr, $v:expr) => {
-                if m == 0 || nv[m - 1] != $v {
-                    ns[m] = $s;
-                    nv[m] = $v;
-                    m += 1;
-                }
-            };
+        if changed == 0 {
+            return 0;
         }
-        for run in 0..k {
-            let s = starts[run] as usize;
-            let e = if run + 1 < k {
-                starts[run + 1] as usize
-            } else {
+        // Expand the runs into one entry per level (≤ 64), override,
+        // and re-encode as maximal runs.
+        let mut table = [NONE; 64];
+        let mask = self.finger_mask[i];
+        let off = self.finger_off[i] as usize;
+        let mut starts = mask;
+        for &raw in &self.finger_vals[off..off + mask.count_ones() as usize] {
+            let s = starts.trailing_zeros() as usize;
+            starts &= starts - 1;
+            let e = if starts == 0 {
                 self.finger_bits
-            };
-            if (s..e).contains(&bit) {
-                if s < bit {
-                    emit!(s as u8, vals[run]);
-                }
-                emit!(bit as u8, v);
-                if bit + 1 < e {
-                    emit!((bit + 1) as u8, vals[run]);
-                }
             } else {
-                emit!(s as u8, vals[run]);
+                starts.trailing_zeros() as usize
+            };
+            table[s..e].fill(raw);
+        }
+        let v = encode(val);
+        let mut rest = changed;
+        while rest != 0 {
+            table[rest.trailing_zeros() as usize] = v;
+            rest &= rest - 1;
+        }
+        let mut ns = [0u8; 64];
+        let mut nv = [NONE; 64];
+        let mut m = 0usize;
+        for (b, &raw) in table[..self.finger_bits].iter().enumerate() {
+            if m == 0 || nv[m - 1] != raw {
+                ns[m] = b as u8;
+                nv[m] = raw;
+                m += 1;
             }
         }
         self.write_runs(i, &ns[..m], &nv[..m]);
-        true
+        changed
     }
 
     /// Replaces node `i`'s table with an explicit run list (starts strictly
@@ -678,9 +673,28 @@ mod tests {
                 0 => None,
                 v => Some((v % 4) as usize),
             };
-            let changed = a.set_finger(i, bit, val);
-            assert_eq!(changed, naive[i][bit] != val, "step {step}");
-            naive[i][bit] = val;
+            if step % 3 == 0 {
+                // A multi-level write: a random set of levels, often a
+                // contiguous span as a repaired ownership run is.
+                let levels = if rng.gen_range(0..2u32) == 0 {
+                    let hi = rng.gen_range(bit..bits);
+                    bits_through(hi) & !((1u64 << bit) - 1)
+                } else {
+                    rng.gen::<u64>()
+                };
+                let mut want = 0u64;
+                for (b, entry) in naive[i].iter_mut().enumerate() {
+                    if levels >> b & 1 == 1 && *entry != val {
+                        want |= 1 << b;
+                        *entry = val;
+                    }
+                }
+                assert_eq!(a.set_fingers(i, levels, val), want, "step {step}");
+            } else {
+                let changed = a.set_fingers(i, 1 << bit, val) != 0;
+                assert_eq!(changed, naive[i][bit] != val, "step {step}");
+                naive[i][bit] = val;
+            }
             for (b, &want) in naive[i].iter().enumerate() {
                 assert_eq!(a.finger(i, b), want, "node {i} bit {b} step {step}");
             }
@@ -713,7 +727,7 @@ mod tests {
     fn finger_runs_are_canonical_and_views_agree() {
         let mut a = arena(16);
         for bit in 0..16 {
-            a.set_finger(0, bit, Some(if bit < 5 { 1 } else { 2 }));
+            a.set_fingers(0, 1 << bit, Some(if bit < 5 { 1 } else { 2 }));
         }
         let f = NodeRef::new(&a, 0).fingers();
         let runs: Vec<_> = f.runs().collect();
@@ -727,7 +741,7 @@ mod tests {
         assert_eq!(f.distinct().count(), 2);
         // Clearing everything returns to the canonical empty table.
         for bit in 0..16 {
-            a.set_finger(0, bit, None);
+            a.set_fingers(0, 1 << bit, None);
         }
         assert_eq!(a.finger_mask[0], 0);
         assert!(NodeRef::new(&a, 0).fingers().iter().all(|f| f.is_none()));
@@ -744,7 +758,7 @@ mod tests {
                 10..=39 => Some(8),
                 _ => None,
             };
-            b.set_finger(1, bit, v);
+            b.set_fingers(1, 1 << bit, v);
         }
         for bit in 0..64 {
             assert_eq!(a.finger(0, bit), b.finger(1, bit), "bit {bit}");

@@ -205,7 +205,8 @@ pub struct LookupEngine {
     /// listed in `free`.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    backlog: VecDeque<(u64, NodeId, Point)>,
+    /// Requests waiting for a slot: (tag, origin, target, submitted at).
+    backlog: VecDeque<(u64, NodeId, Point, SimTime)>,
     completions: Vec<Completion>,
     seen_tags: TagSet,
     slow: Option<SlowOverlay>,
@@ -274,9 +275,9 @@ impl LookupEngine {
         // Every call that frees a slot admits the backlog, so a free slot
         // means an empty backlog.
         if self.in_flight() < self.config.max_inflight {
-            self.start_request(net, tag, from, target);
+            self.start_request(net, tag, from, target, self.now);
         } else {
-            self.backlog.push_back((tag, from, target));
+            self.backlog.push_back((tag, from, target, self.now));
         }
     }
 
@@ -365,14 +366,23 @@ impl LookupEngine {
     /// Admits backlogged requests while in-flight slots are free.
     fn admit(&mut self, net: &ChordNetwork) {
         while self.in_flight() < self.config.max_inflight {
-            let Some((tag, from, target)) = self.backlog.pop_front() else {
+            let Some((tag, from, target, submitted_at)) = self.backlog.pop_front() else {
                 return;
             };
-            self.start_request(net, tag, from, target);
+            self.start_request(net, tag, from, target, submitted_at);
         }
     }
 
-    fn start_request(&mut self, net: &ChordNetwork, tag: u64, from: NodeId, target: Point) {
+    /// Admits a request submitted at `submitted_at`: its first attempt
+    /// starts now, so a backlogged request's wait counts in its age.
+    fn start_request(
+        &mut self,
+        net: &ChordNetwork,
+        tag: u64,
+        from: NodeId,
+        target: Point,
+        submitted_at: SimTime,
+    ) {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot {
                 generation: 0,
@@ -385,7 +395,7 @@ impl LookupEngine {
             rng: StdRng::seed_from_u64(simnet::rng::derive_seed(self.config.seed, tag)),
             attempt: Attempt::new(from, target),
             resolved: false,
-            submitted_at: self.now,
+            submitted_at,
             started_at: self.now,
             current: from,
             timeouts: 0,
@@ -1043,6 +1053,45 @@ mod tests {
                 assert_eq!(set.insert(tag), model.insert(tag), "seed {seed} tag {tag}");
             }
         }
+    }
+
+    #[test]
+    fn a_backlogged_request_ages_from_its_submission() {
+        // One slot, two requests submitted at tick 5: the second waits in
+        // the backlog until the first completes, and that wait belongs to
+        // its age.
+        let net = scored_ring(4);
+        let live = net.live_ids();
+        let mut engine = LookupEngine::new(EngineConfig {
+            max_inflight: 1,
+            ..EngineConfig::default()
+        });
+        let faults = crate::FaultPlan::none();
+        engine.run_until(&net, &faults, SimTime::from_ticks(5));
+        engine.submit(&net, live[0], Point::new(1 << 62));
+        engine.submit(&net, live[1], Point::new(3 << 62));
+        assert_eq!(engine.backlog(), 1);
+        engine.drain(&net, &faults);
+
+        let done = engine.completions();
+        assert_eq!(done.len(), 2);
+        let (first, second) = (&done[0], &done[1]);
+        assert_eq!(first.tag, 0);
+        assert!(first.completed_at > SimTime::from_ticks(5), "{first:?}");
+        assert_eq!(second.submitted_at, SimTime::from_ticks(5));
+        assert_eq!(second.started_at, first.completed_at);
+        let ages: Vec<u64> = done
+            .iter()
+            .map(|c| (c.completed_at - c.submitted_at).ticks())
+            .collect();
+        assert!(ages[1] > (second.completed_at - second.started_at).ticks());
+        let hist = net
+            .metrics()
+            .recorder()
+            .histogram_snapshot(net.counters().engine_age_hist);
+        assert_eq!(hist.count(), 2);
+        assert_eq!(hist.min(), *ages.iter().min().unwrap());
+        assert_eq!(hist.max(), *ages.iter().max().unwrap());
     }
 
     #[test]

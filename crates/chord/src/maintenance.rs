@@ -30,6 +30,29 @@
 //! funnels and are retried next round, so convergence is still driven by
 //! the protocol — the dirty set only *selects* where to spend work.
 //!
+//! The bookkeeping around those lookups costs index searches, not
+//! messages, and is kept to about one search per finger *run* (a span of
+//! levels that resolve to one node) rather than one per level:
+//!
+//! * a repaired run is written with one multi-level arena write and each
+//!   level is re-checked once, against one truth search per span of
+//!   levels sharing a true owner. The owner of a level's target at
+//!   clockwise distance `t` from the origin owns every later target up
+//!   to `t` (a full turn when it sits at the origin's point). The span
+//!   is decided by the truth's distance, never by the looked-up owner's,
+//!   which may be stale;
+//! * a membership event at `hi` re-checks the low finger bits without a
+//!   range query per bit: with `lo` and `pp` the nearest distinct points
+//!   before `hi` and before `lo`, every bit with
+//!   `2^bit < min(d(lo, hi), d(pp, lo))` moves exactly `lo`'s co-located
+//!   cluster, whose targets all resolve to `successor(hi)` — one cluster
+//!   query and one truth search for that prefix, about 45 of 64 bits at
+//!   10⁵ peers. Higher bits keep their range query;
+//! * the successor-list holders a membership event marks come from one
+//!   backward walk over the index's clusters, in the order r repeated
+//!   predecessor searches would find them (that order is the FIFO repair
+//!   order, so it fixes the round's RNG draws).
+//!
 //! Per round this is amortized O(changes · log n) instead of O(n) routed
 //! lookups (counter-asserted in `tests/batched_maintenance.rs`), and a
 //! [`MaintenanceBudget`] caps the work per round so scenarios can trade

@@ -144,36 +144,30 @@ impl CompactMultiMap {
 
     /// The values stored under `key`, in ascending order.
     ///
-    /// Collects into a `Vec` because every caller mutates the map (or the
-    /// structures it indexes) while walking the result.
+    /// Collects into a `Vec` for callers that mutate the map while
+    /// walking the result; [`next_value`](Self::next_value) walks one key
+    /// without collecting.
     pub(crate) fn values(&self, key: u32) -> Vec<u32> {
         let mut out = Vec::new();
-        if self.chunks.is_empty() {
-            return out;
+        let mut from = 0;
+        while let Some(v) = self.next_value(key, from) {
+            out.push(v);
+            let Some(next) = v.checked_add(1) else { break };
+            from = next;
         }
-        let lo = pack(key, 0);
-        let mut ci = self
+        out
+    }
+
+    /// The smallest value stored under `key` that is at least `from`:
+    /// one binary search, no allocation.
+    pub(crate) fn next_value(&self, key: u32, from: u32) -> Option<u32> {
+        let lo = pack(key, from);
+        let ci = self
             .chunks
             .partition_point(|c| *c.last().expect("chunks are non-empty") < lo);
-        if ci == self.chunks.len() {
-            return out;
-        }
-        let mut off = self.chunks[ci].partition_point(|&e| e < lo);
-        loop {
-            if off == self.chunks[ci].len() {
-                ci += 1;
-                off = 0;
-                if ci == self.chunks.len() {
-                    return out;
-                }
-            }
-            let e = self.chunks[ci][off];
-            if e >> 32 != key as u64 {
-                return out;
-            }
-            out.push(e as u32);
-            off += 1;
-        }
+        let chunk = self.chunks.get(ci)?;
+        let e = chunk[chunk.partition_point(|&e| e < lo)];
+        (e >> 32 == key as u64).then_some(e as u32)
     }
 
     /// Bytes of entry data plus chunk-list headers. Mirrors the ledger's
@@ -211,6 +205,10 @@ mod tests {
         assert_eq!(m.values(5), vec![7, 10], "values sorted ascending");
         assert_eq!(m.values(2), vec![1]);
         assert_eq!(m.values(99), Vec::<u32>::new());
+        assert_eq!(m.next_value(5, 0), Some(7));
+        assert_eq!(m.next_value(5, 8), Some(10));
+        assert_eq!(m.next_value(5, 11), None);
+        assert_eq!(m.next_value(4, 0), None);
         assert!(m.remove(5, 10));
         assert!(!m.remove(5, 10));
         assert_eq!(m.values(5), vec![7]);

@@ -209,6 +209,9 @@ pub struct ChordNetwork {
     /// Retry/fallback policy applied by policy-path lookups, `None`
     /// until [`enable_retry_policy`](ChordNetwork::enable_retry_policy).
     retry: Option<RetryPolicy>,
+    /// The successor list [`stabilize`](ChordNetwork::stabilize) builds,
+    /// kept between calls so a call allocates nothing.
+    list_scratch: Vec<NodeId>,
 }
 
 /// Pre-registered telemetry handles for every chord hot-path counter plus
@@ -340,6 +343,7 @@ impl ChordNetwork {
             shadow: None,
             scores: None,
             retry: None,
+            list_scratch: Vec::new(),
         }
     }
 
@@ -812,12 +816,25 @@ impl ChordNetwork {
     }
 
     fn write_finger(&mut self, id: NodeId, bit: usize, val: Option<NodeId>) {
-        if self.arena.set_finger(id.0, bit, val.map(|v| v.0)) {
-            if let Some(sh) = &mut self.shadow {
-                sh.nodes[id.0].fingers[bit] = val;
-            }
+        if self.write_fingers(id, 1 << bit, val) != 0 {
             self.recompute_finger(id.0, bit);
         }
+    }
+
+    /// Sets every finger level in `levels` of `id` to `val` with one
+    /// arena write, mirrors each level it changed and returns those.
+    /// Unlike [`write_finger`](Self::write_finger) it re-checks nothing:
+    /// the caller re-checks the levels.
+    fn write_fingers(&mut self, id: NodeId, levels: u64, val: Option<NodeId>) -> u64 {
+        let changed = self.arena.set_fingers(id.0, levels, val.map(|v| v.0));
+        if let Some(sh) = &mut self.shadow {
+            let mut rest = changed;
+            while rest != 0 {
+                sh.nodes[id.0].fingers[rest.trailing_zeros() as usize] = val;
+                rest &= rest - 1;
+            }
+        }
+        changed
     }
 
     fn clear_routing(&mut self, id: NodeId) {
@@ -861,14 +878,16 @@ impl ChordNetwork {
             }
             self.ledger.dsucc[i] = new_raw;
         }
-        let succ_ok = alive && derived == self.truth_strict_successor(id);
-        let pred_ok = alive && {
+        let (succ_ok, pred_ok) = if alive {
+            let (truth_pred, truth_succ) = self.truth_strict_neighbours(id);
             let pred = self
                 .arena
                 .pred(i)
                 .map(NodeId)
                 .filter(|&p| self.arena.is_alive(p.0));
-            pred == self.truth_strict_predecessor(id)
+            (derived == truth_succ, pred == truth_pred)
+        } else {
+            (false, false)
         };
         let new = u8::from(succ_ok) | (u8::from(pred_ok) << 1);
         // A live node failing either predicate is maintenance work.
@@ -903,13 +922,26 @@ impl ChordNetwork {
     }
 
     /// Re-evaluates one finger entry's populated/correct contribution.
-    /// Idempotent; O(log n).
+    /// Idempotent; O(log n): one truth search when the entry is
+    /// populated.
     fn recompute_finger(&mut self, i: usize, bit: usize) {
+        let truth = if self.arena.is_alive(i) && self.arena.finger(i, bit).is_some() {
+            self.truth_successor_id(self.finger_target(self.arena.point(i), bit))
+        } else {
+            None
+        };
+        self.settle_finger(i, bit, truth);
+    }
+
+    /// [`recompute_finger`](Self::recompute_finger) against a known
+    /// `truth`: the live successor of finger `bit`'s target, read only
+    /// when the entry is populated. Callers that know several levels
+    /// share one truth search it once. Idempotent; O(1).
+    fn settle_finger(&mut self, i: usize, bit: usize, truth: Option<NodeId>) {
         let alive = self.arena.is_alive(i);
         let val = self.arena.finger(i, bit).map(NodeId);
         let pop = alive && val.is_some();
-        let ok =
-            pop && val == self.truth_successor_id(self.finger_target(self.arena.point(i), bit));
+        let ok = pop && val == truth;
         // Dirty mirror: a live node's missing or wrong entry is pending
         // maintenance work; a correct (or dead) one is not.
         if alive && !ok {
@@ -941,22 +973,56 @@ impl ChordNetwork {
 
     /// Re-checks the finger entries whose target lies on the ownership
     /// arc a membership change at `hi` moved: the clockwise arc from the
-    /// nearest *distinct* live point before `hi` (every target in it can
-    /// switch owner — on a point collision the id tie-break can hand the
-    /// whole arc to another co-located entry, not just the target `hi`
-    /// itself). With no distinct other point (all members co-located, or
-    /// a singleton) the arc degenerates to the full ring, which is then
-    /// only the cluster itself. One range query per finger bit; expected
-    /// O(1) hits each on a ring with n ≫ 1.
+    /// nearest *distinct* live point `lo` before `hi` (every target in it
+    /// can switch owner — on a point collision the id tie-break can hand
+    /// the whole arc to another co-located entry, not just the target
+    /// `hi` itself). With no distinct other point (all members
+    /// co-located, or a singleton) the arc degenerates to the full ring,
+    /// which is then only the cluster itself. Finger `bit` targets the
+    /// arc from the origins on `(lo − 2^bit, hi − 2^bit]`; one range
+    /// query per bit finds them, expected O(1) hits each.
+    ///
+    /// The low bits need no query. With `pp` the nearest distinct point
+    /// before `lo`, every bit with `2^bit < min(d(lo, hi), d(pp, lo))`
+    /// shifts the arc onto exactly `lo`'s co-located cluster, and each
+    /// such target lies strictly inside `(lo, hi)`, which holds no live
+    /// point, so its truth is `successor(hi)`. One cluster query and one
+    /// truth search serve that prefix (about 45 of 64 bits at 10⁵
+    /// peers); the re-checks run in the same order as per-bit queries
+    /// would make them.
     fn dirty_finger_arc(&mut self, hi: Point) {
         let lo = self.index.predecessor(hi).map(|(q, _)| q);
+        let pp = lo.and_then(|q| self.index.predecessor(q)).map(|(q, _)| q);
         // One scratch buffer across all ~64 arc queries: the queries
         // expect O(1) hits each, so a fresh Vec per bit was the dominant
         // cost of this feed (ringidx::for_each_in_range is the
         // allocation-free visitor added for it).
         let mut hits: Vec<u32> = Vec::new();
-        for bit in 0..self.finger_bits {
-            let off = Distance::new(((1u128 << bit) % self.space.modulus()) as u64);
+        let mut first_ranged = 0;
+        if let (Some(lo), Some(pp)) = (lo, pp) {
+            let gap = self
+                .space
+                .distance(lo, hi)
+                .min(self.space.distance(pp, lo))
+                .get();
+            // The bits with 2^bit < gap.
+            first_ranged = ((64 - (gap - 1).leading_zeros()) as usize).min(self.finger_bits);
+            if first_ranged > 0 {
+                let truth = self.truth_successor_id(hi);
+                let one = Distance::new(1);
+                self.index
+                    .for_each_in_range(self.space.sub(lo, one), lo, |_, oid| {
+                        hits.push(oid.0 as u32)
+                    });
+                for bit in 0..first_ranged {
+                    for &o in &hits {
+                        self.settle_finger(o as usize, bit, truth);
+                    }
+                }
+            }
+        }
+        for bit in first_ranged..self.finger_bits {
+            let off = Distance::new(self.finger_offset(bit));
             let b = self.space.sub(hi, off);
             // A `(b, b]` arc is the full ring by the index's convention.
             let a = lo.map_or(b, |q| self.space.sub(q, off));
@@ -1005,28 +1071,19 @@ impl ChordNetwork {
     /// once (nearest holder first — queue order — so refreshed lists
     /// propagate counter-clockwise within a round). The classic full
     /// round gets this for free by stabilizing everyone.
+    ///
+    /// The holders are the co-located clusters at the r nearest distinct
+    /// points counter-clockwise of `p` (a whole cluster holds the same
+    /// window), found by one backward walk over the index. Their marking
+    /// order fixes the FIFO repair order, and so the round's RNG draws.
     fn dirty_list_window(&mut self, p: Point) {
         let r = self.config.successor_list_len();
-        let one = Distance::new(1);
-        let mut hits: Vec<u32> = Vec::new();
-        let mut at = p;
-        for _ in 0..r {
-            let Some((q, _)) = self.index.predecessor(at) else {
-                break;
-            };
-            // The whole co-located cluster at q holds the same window.
-            self.index
-                .for_each_in_range(self.space.sub(q, one), q, |_, id| hits.push(id.0 as u32));
-            if q == p {
-                break; // wrapped all the way around a tiny ring
+        let (arena, dirty) = (&self.arena, &mut self.dirty);
+        self.index.for_each_cluster_before(p, r, |_, id| {
+            if arena.is_alive(id.0) {
+                dirty.mark_sp(id.0);
             }
-            at = q;
-        }
-        for &h in &hits {
-            if self.arena.is_alive(h as usize) {
-                self.dirty.mark_sp(h as usize);
-            }
-        }
+        });
     }
 
     /// Rebuilds the ledger after [`bulk_join`](ChordNetwork::bulk_join):
@@ -1281,15 +1338,18 @@ impl ChordNetwork {
         self.metrics
             .recorder()
             .add(self.counters.stabilize_messages, probes.max(1));
-        let live: Vec<NodeId> = self
-            .node(id)
-            .successors()
-            .iter()
-            .filter(|&s| self.node(s).is_alive())
-            .collect();
-        self.write_successors(id, &live);
+        let mut list = std::mem::take(&mut self.list_scratch);
+        list.clear();
+        list.extend(
+            self.node(id)
+                .successors()
+                .iter()
+                .filter(|&s| self.node(s).is_alive()),
+        );
+        self.write_successors(id, &list);
 
         let Some(succ) = self.first_live_successor(id) else {
+            self.list_scratch = list;
             // Lost every successor: re-attach through the modelled
             // bootstrap server — under realistic churn the successor list
             // makes this vanishingly rare (needs r simultaneous failures).
@@ -1312,7 +1372,8 @@ impl ChordNetwork {
         }
 
         // Refresh our list as [adopted] + adopted's list.
-        let mut list = vec![adopted];
+        list.clear();
+        list.push(adopted);
         list.extend(
             self.node(adopted)
                 .successors()
@@ -1322,6 +1383,7 @@ impl ChordNetwork {
         list.dedup();
         list.truncate(self.config.successor_list_len());
         self.write_successors(id, &list);
+        self.list_scratch = list;
 
         self.notify(adopted, id);
     }
@@ -1477,8 +1539,13 @@ impl ChordNetwork {
                 // may be clean and never run, so replay its notify on
                 // demand — the candidates are exactly the nodes whose
                 // derived successor is this node (`dsucc_watch`).
+                // (A notify rewrites only this node's predecessor, never
+                // a derived successor, so the watch list cannot change
+                // under the walk.)
                 if self.ledger.flags[i] & 2 == 0 {
-                    for w in self.ledger.dsucc_watch.values(i as u32) {
+                    let mut from = 0;
+                    while let Some(w) = self.ledger.dsucc_watch.next_value(i as u32, from) {
+                        from = w + 1; // ids stay below the u32::MAX sentinel
                         let cand = NodeId(w as usize);
                         if cand != id && self.arena.is_alive(cand.0) {
                             self.notify(id, cand);
@@ -1512,7 +1579,9 @@ impl ChordNetwork {
     /// Repairs the dirty finger levels in `mask` by ownership-run
     /// jumping: one routed lookup resolves the lowest level, and every
     /// higher taken level whose target falls inside the returned owner's
-    /// arc reuses the answer.
+    /// arc reuses the answer. The run's levels are written with one
+    /// arena write and re-checked once each, with one truth search per
+    /// span of levels that share a true owner.
     fn refresh_fingers<R: Rng + ?Sized>(
         &mut self,
         id: NodeId,
@@ -1523,49 +1592,52 @@ impl ChordNetwork {
         let origin = self.node(id).point();
         while mask != 0 {
             let bit = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
             let target = self.finger_target(origin, bit);
             work.lookups += 1;
-            match self.find_successor(id, target, rng) {
-                Ok(found) => {
-                    self.metrics
-                        .recorder()
-                        .add(self.counters.fix_finger_messages, found.cost.messages);
-                    self.write_finger(id, bit, Some(found.node));
-                    // The funnel recomputes only on change; force a
-                    // re-check so a repair that re-wrote the same stale
-                    // answer is re-marked and retried, not silently
-                    // dropped from the dirty set.
-                    self.recompute_finger(id.0, bit);
-                    work.fingers_refreshed += 1;
-                    let d = self.space.distance(origin, found.point).get();
-                    // Any level with target distance 2^b <= d lands in
-                    // (origin, owner] and shares the owner; d == 0 means
-                    // the lookup wrapped the whole ring, so every
-                    // remaining level does.
-                    let run_end = if d == 0 {
-                        64
-                    } else {
-                        (64 - d.leading_zeros()) as usize
+            let Ok(found) = self.find_successor(id, target, rng) else {
+                // Clear the entry and re-check it so it stays in the
+                // dirty set for a retry next round.
+                mask &= mask - 1;
+                self.write_fingers(id, 1 << bit, None);
+                self.recompute_finger(id.0, bit);
+                work.fingers_refreshed += 1;
+                continue;
+            };
+            self.metrics
+                .recorder()
+                .add(self.counters.fix_finger_messages, found.cost.messages);
+            let d = self.space.distance(origin, found.point).get();
+            // Any level with target distance 2^b <= d lands in
+            // (origin, owner] and shares the owner; d == 0 means the
+            // lookup wrapped the whole ring, so every remaining level
+            // does.
+            let run_end = if d == 0 { 64 } else { 64 - d.leading_zeros() };
+            let run = 1 << bit | mask & u64::MAX.checked_shr(64 - run_end).unwrap_or(0);
+            mask &= !run;
+            work.fingers_refreshed += run.count_ones() as usize;
+            self.write_fingers(id, run, Some(found.node));
+            // Re-check every level, changed or not, so a repair that
+            // re-wrote the same stale answer is re-marked and retried,
+            // not silently dropped from the dirty set. The true owner of
+            // a level's target, at clockwise distance t from the origin
+            // (a full turn when it sits at the origin's point), also owns
+            // every later target up to t: no live point lies between.
+            // That span is decided by the truth's distance, never by the
+            // looked-up owner's, which may be stale and lie past it.
+            let (mut truth, mut span) = (None, 0u128);
+            let mut levels = run;
+            while levels != 0 {
+                let b = levels.trailing_zeros() as usize;
+                levels &= levels - 1;
+                if 1u128 << b > span {
+                    let owner = self.index.successor(self.finger_target(origin, b));
+                    truth = owner.map(|(_, t)| t);
+                    span = match owner.map(|(p, _)| self.space.distance(origin, p).get()) {
+                        Some(t) if t > 0 => u128::from(t),
+                        _ => self.space.modulus(),
                     };
-                    while mask != 0 {
-                        let b = mask.trailing_zeros() as usize;
-                        if b >= run_end {
-                            break;
-                        }
-                        mask &= mask - 1;
-                        self.write_finger(id, b, Some(found.node));
-                        self.recompute_finger(id.0, b);
-                        work.fingers_refreshed += 1;
-                    }
                 }
-                Err(_) => {
-                    // Clear the entry and force a re-check so it stays
-                    // in the dirty set for a retry next round.
-                    self.write_finger(id, bit, None);
-                    self.recompute_finger(id.0, bit);
-                    work.fingers_refreshed += 1;
-                }
+                self.settle_finger(id.0, b, truth);
             }
         }
     }
@@ -1735,6 +1807,17 @@ impl ChordNetwork {
             .strict_predecessor(me, id)
             .map(|(_, nid)| nid)
             .or_else(|| if self.live_len() == 1 { Some(id) } else { None })
+    }
+
+    /// `(truth_strict_predecessor(id), truth_strict_successor(id))` from
+    /// one index search.
+    fn truth_strict_neighbours(&self, id: NodeId) -> (Option<NodeId>, Option<NodeId>) {
+        let (pred, succ) = self.index.strict_neighbours(self.node(id).point(), id);
+        (
+            pred.map(|(_, p)| p)
+                .or_else(|| (self.live_len() == 1).then_some(id)),
+            succ.map(|(_, s)| s).or(Some(id)),
+        )
     }
 
     /// Last-resort repair when a node has lost its entire successor list:
@@ -1950,6 +2033,159 @@ mod tests {
             // never converged; every other build is.
             let twins = matches!(build.history, BuildHistory::AfterTwinJoin);
             proptest::prop_assert!(twins || report.is_converged(), "{:?}: {:?}", build, report);
+        }
+    }
+
+    /// One event of a [`ChurnScript`]. Node and point choices are raw
+    /// draws, reduced against the ring as it stands when the event runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Churn {
+        Crash(u64),
+        /// A protocol join at a random point through a random live gateway.
+        Join {
+            at: u64,
+            via: u64,
+        },
+        /// A protocol join at an occupied point: a co-located peer.
+        JoinOccupied {
+            host: u64,
+            via: u64,
+        },
+        Leave(u64),
+        Round(MaintenanceBudget),
+    }
+
+    /// A bootstrapped ring of `peers` distinct points on `ℤ_modulus` (or,
+    /// when `tiny`, of 1–3 distinct points that further joins co-locate
+    /// on), then `steps` applied in order.
+    #[derive(Debug, Clone)]
+    struct ChurnScript {
+        modulus: u128,
+        peers: usize,
+        tiny: bool,
+        seed: u64,
+        steps: Vec<Churn>,
+    }
+
+    fn churn_strategy() -> impl Strategy<Value = Churn> {
+        (
+            0u32..9,
+            proptest::prelude::any::<u64>(),
+            proptest::prelude::any::<u64>(),
+        )
+            .prop_map(|(kind, a, b)| match kind {
+                0 | 1 => Churn::Crash(a),
+                2 | 3 => Churn::Join { at: a, via: b },
+                4 => Churn::JoinOccupied { host: a, via: b },
+                5 => Churn::Leave(a),
+                6 => Churn::Round(MaintenanceBudget::per_round(0)),
+                7 => Churn::Round(MaintenanceBudget::per_round(5)),
+                _ => Churn::Round(MaintenanceBudget::unlimited()),
+            })
+    }
+
+    /// Checks every piece of incremental bookkeeping against a
+    /// from-scratch recount: the ledger against `verify_ring_full`, each
+    /// node's dirty finger mask against its missing-or-wrong levels
+    /// (truth from a sorted copy of the live points, not the index), the
+    /// sp flag on every node that fails a predicate, and the backlog
+    /// against a recount of the flags.
+    fn assert_bookkeeping_exact(net: &ChordNetwork, ctx: &dyn Fn() -> String) {
+        assert_eq!(net.verify_ring(), net.verify_ring_full(), "{}", ctx());
+        let mut live: Vec<(Point, NodeId)> = net
+            .live_ids()
+            .into_iter()
+            .map(|id| (net.node(id).point(), id))
+            .collect();
+        live.sort_unstable();
+        let owner = |x: Point| {
+            let at = live.partition_point(|&(p, _)| p < x);
+            live.get(at).or(live.first()).map(|&(_, id)| id)
+        };
+        let mut entries = 0;
+        for id in net.node_ids() {
+            let (sp, dirty) = (net.dirty.is_sp(id.0), net.dirty.finger_mask(id.0));
+            entries += usize::from(sp) + dirty.count_ones() as usize;
+            if !net.node(id).is_alive() {
+                assert!(!sp && dirty == 0, "{}: dead {id} owes maintenance", ctx());
+                continue;
+            }
+            let me = net.node(id).point();
+            let stale = (0..net.finger_bits())
+                .filter(|&bit| {
+                    let f = net.node(id).fingers().get(bit);
+                    f.is_none() || f != owner(net.finger_target(me, bit))
+                })
+                .fold(0u64, |m, bit| m | 1 << bit);
+            assert_eq!(dirty, stale, "{}: {id}'s dirty finger levels", ctx());
+            let (succ_ok, pred_ok, _, _) = net.check_node(id);
+            assert!(
+                sp || succ_ok && pred_ok,
+                "{}: {id} fails a predicate without the sp flag",
+                ctx()
+            );
+        }
+        assert_eq!(net.maintenance_backlog(), entries, "{}: backlog", ctx());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn bookkeeping_matches_a_from_scratch_oracle_through_churn(
+            script in (
+                0usize..5,
+                proptest::prop_oneof![1usize..=12, 1usize..=60, 1usize..=300],
+                proptest::prelude::any::<bool>(),
+                0u64..1_000_000,
+                proptest::collection::vec(churn_strategy(), 100),
+            ).prop_map(|(m, peers, tiny, seed, steps)| ChurnScript {
+                modulus: [64, 256, 1000, (1 << 20) + 7, 1 << 64][m],
+                peers,
+                tiny,
+                seed,
+                steps,
+            }),
+        ) {
+            let space = KeySpace::with_modulus(script.modulus).unwrap();
+            let mut r = rand::rngs::StdRng::seed_from_u64(script.seed);
+            let distinct = if script.tiny { 1 + script.peers % 3 } else { script.peers };
+            let distinct = distinct.min(script.modulus.min(1 << 20) as usize);
+            let points = space.random_distinct_points(&mut r, distinct);
+            let mut net = ChordNetwork::bootstrap(
+                space,
+                points,
+                ChordConfig::default().with_successor_list_len(4),
+            );
+            let pick = |net: &ChordNetwork, raw: u64| {
+                net.live_slice()[(raw % net.live_len() as u64) as usize]
+            };
+            // Tiny rings fill up with co-located peers first.
+            let fill = if script.tiny { script.peers.min(12) } else { 0 };
+            let steps = (0..fill)
+                .map(|k| Churn::JoinOccupied { host: k as u64, via: k as u64 * 7 })
+                .chain(script.steps.iter().copied());
+            assert_bookkeeping_exact(&net, &|| format!("{script:?}: bootstrap"));
+            for (k, step) in steps.enumerate() {
+                let lone = net.live_len() == 1;
+                match step {
+                    Churn::Crash(v) if !lone => net.crash(pick(&net, v)),
+                    Churn::Leave(v) if !lone => net.leave(pick(&net, v)),
+                    Churn::Crash(_) | Churn::Leave(_) => continue,
+                    Churn::Join { at, via } => {
+                        let at = Point::new((at as u128 % script.modulus) as u64);
+                        let _ = net.join(at, pick(&net, via), &mut r);
+                    }
+                    Churn::JoinOccupied { host, via } => {
+                        let at = net.node(pick(&net, host)).point();
+                        let _ = net.join(at, pick(&net, via), &mut r);
+                    }
+                    Churn::Round(budget) => {
+                        net.batched_maintenance_round(budget, &mut r);
+                    }
+                }
+                assert_bookkeeping_exact(&net, &|| format!("{script:?}: step {k} {step:?}"));
+            }
         }
     }
 

@@ -25,21 +25,32 @@
 //!   [`strict_predecessor`](RingIndex::strict_predecessor) — the same
 //!   queries asked *by a member entry about itself*: the entry `(p, id)` is
 //!   excluded, co-located other entries count as distance zero.
+//! * [`strict_neighbours`](RingIndex::strict_neighbours) — both strict
+//!   queries of one member entry from a single search.
 //! * [`range`](RingIndex::range) — entries on the clockwise arc `(a, b]`
 //!   (Chord convention: `a == b` denotes the full ring).
+//! * [`for_each_cluster_before`](RingIndex::for_each_cluster_before) — the
+//!   co-located clusters at the `r` nearest distinct points
+//!   counter-clockwise of `x`, nearest first, from one search and a
+//!   backward walk; what `r` repeated `predecessor` hops plus a cluster
+//!   range query each would visit.
 //! * [`nth`](RingIndex::nth) — the `k`-th live entry in ring order, for
 //!   O(1)-ish uniform sampling of a live peer.
 //!
 //! # Implementation
 //!
 //! A tiered vector: one `Vec` of sorted chunks, each at most
-//! `MAX_CHUNK` (1024) entries. Point lookups binary-search the chunk list and
-//! then the chunk — O(log n). Inserts and removes shift at most one chunk —
+//! `MAX_CHUNK` (1024) entries, plus a contiguous *fence* column holding
+//! each chunk's last entry. Point lookups binary-search the fences and
+//! then one chunk — O(log n), and the chunk-level probes read one small
+//! array instead of dereferencing a heap block per probe, which matters
+//! once the chunk list outgrows the cache (10⁶ entries make ~2,000
+//! chunks). Inserts and removes shift at most one chunk —
 //! O(√n)-flavoured constant work (≤ 1024 `memmove`d entries) with O(log n)
-//! search, amortized by chunk splits and merges. `nth` walks chunk lengths,
-//! O(n / MAX_CHUNK). This beats a `BTreeMap` for the simulator's workloads
-//! because bulk construction is a single sort and iteration is
-//! cache-friendly.
+//! search, amortized by chunk splits and merges, and keep the fences
+//! current. `nth` walks chunk lengths, O(n / MAX_CHUNK). This beats a
+//! `BTreeMap` for the simulator's workloads because bulk construction is
+//! a single sort and iteration is cache-friendly.
 //!
 //! # Example
 //!
@@ -73,6 +84,9 @@ const MIN_CHUNK: usize = MAX_CHUNK / 8;
 /// Position of an entry: (chunk index, offset within chunk).
 type Pos = (usize, usize);
 
+/// A strict predecessor and a strict successor, either absent.
+type Neighbours<I> = (Option<(Point, I)>, Option<(Point, I)>);
+
 /// A sorted, incrementally-maintained index of `(Point, I)` ring entries.
 ///
 /// See the [crate docs](crate) for the query contract.
@@ -80,6 +94,9 @@ type Pos = (usize, usize);
 pub struct RingIndex<I> {
     space: KeySpace,
     chunks: Vec<Vec<(Point, I)>>,
+    /// `fences[c]` is the last entry of `chunks[c]`: the chunk-level
+    /// binary searches read this column only.
+    fences: Vec<(Point, I)>,
     len: usize,
 }
 
@@ -89,6 +106,7 @@ impl<I: Copy + Ord> RingIndex<I> {
         RingIndex {
             space,
             chunks: Vec::new(),
+            fences: Vec::new(),
             len: 0,
         }
     }
@@ -106,9 +124,15 @@ impl<I: Copy + Ord> RingIndex<I> {
         let mut chunks = Vec::with_capacity(len.div_ceil(fill.max(1)));
         let mut entries = entries.into_iter().peekable();
         while entries.peek().is_some() {
-            chunks.push(entries.by_ref().take(fill).collect());
+            chunks.push(entries.by_ref().take(fill).collect::<Vec<_>>());
         }
-        RingIndex { space, chunks, len }
+        let fences = chunks.iter().map(|c| last(c)).collect();
+        RingIndex {
+            space,
+            chunks,
+            fences,
+            len,
+        }
     }
 
     /// The key space the entries live on.
@@ -145,14 +169,15 @@ impl<I: Copy + Ord> RingIndex<I> {
         let key = (point, id);
         if self.chunks.is_empty() {
             self.chunks.push(vec![key]);
+            self.fences.push(key);
             self.len = 1;
             return true;
         }
         // The first chunk whose last entry is >= key holds (or should
         // hold) the pair; past-the-end keys append to the final chunk.
         let ci = self
-            .chunks
-            .partition_point(|c| *c.last().expect("chunks are non-empty") < key)
+            .fences
+            .partition_point(|&f| f < key)
             .min(self.chunks.len() - 1);
         let chunk = &mut self.chunks[ci];
         match chunk.binary_search(&key) {
@@ -162,8 +187,10 @@ impl<I: Copy + Ord> RingIndex<I> {
                 self.len += 1;
                 if chunk.len() >= MAX_CHUNK {
                     let upper = chunk.split_off(MAX_CHUNK / 2);
+                    self.fences.insert(ci + 1, last(&upper));
                     self.chunks.insert(ci + 1, upper);
                 }
+                self.fences[ci] = last(&self.chunks[ci]);
                 true
             }
         }
@@ -179,22 +206,23 @@ impl<I: Copy + Ord> RingIndex<I> {
         self.len -= 1;
         if self.chunks[ci].is_empty() {
             self.chunks.remove(ci);
-        } else if self.chunks[ci].len() < MIN_CHUNK {
+            self.fences.remove(ci);
+            return true;
+        }
+        self.fences[ci] = last(&self.chunks[ci]);
+        if self.chunks[ci].len() < MIN_CHUNK {
             // Fold a sparse chunk into a neighbour when the pair fits
-            // comfortably below the split threshold.
-            let merge_into = |a: usize, b: usize, chunks: &mut Vec<Vec<(Point, I)>>| {
-                if chunks[a].len() + chunks[b].len() <= MAX_CHUNK / 2 {
-                    let tail = chunks.remove(b);
-                    chunks[a].extend(tail);
-                    true
-                } else {
-                    false
-                }
+            // comfortably below the split threshold; the merged chunk
+            // ends where the absorbed one did.
+            let (a, b) = if ci + 1 < self.chunks.len() {
+                (ci, ci + 1)
+            } else {
+                (ci.saturating_sub(1), ci)
             };
-            if ci + 1 < self.chunks.len() {
-                merge_into(ci, ci + 1, &mut self.chunks);
-            } else if ci > 0 {
-                merge_into(ci - 1, ci, &mut self.chunks);
+            if a != b && self.chunks[a].len() + self.chunks[b].len() <= MAX_CHUNK / 2 {
+                let tail = self.chunks.remove(b);
+                self.chunks[a].extend(tail);
+                self.fences[a] = self.fences.remove(b);
             }
         }
         true
@@ -215,19 +243,15 @@ impl<I: Copy + Ord> RingIndex<I> {
     /// `h(x)`: the first entry at or clockwise of `x` (inclusive), with
     /// co-located entries ordered by id. `None` on an empty index.
     pub fn successor(&self, x: Point) -> Option<(Point, I)> {
-        if self.is_empty() {
-            return None;
-        }
-        let pos = self.lower_bound(x).unwrap_or((0, 0)); // wrap
-        Some(self.get(pos))
+        Some(self.get(self.lower_bound_wrapping(x)?))
     }
 
     /// The entry at the nearest point strictly counter-clockwise of `x`
     /// (entries at `x` itself are excluded); among co-located entries the
     /// smallest id wins. `None` when empty or every entry sits at `x`.
     pub fn predecessor(&self, x: Point) -> Option<(Point, I)> {
-        let q = self.prev_distinct_point(x)?;
-        self.successor(q) // lowest id at q
+        let before = self.cluster_head(self.prev_pos_wrapping(self.lower_bound_wrapping(x)?));
+        (before.0 != x).then_some(before)
     }
 
     /// The strict clockwise successor of member entry `(point, id)`: the
@@ -254,8 +278,74 @@ impl<I: Copy + Ord> RingIndex<I> {
         if let Some(other) = self.colocated_other(point, id) {
             return Some(other);
         }
-        let q = self.prev_distinct_point(point)?;
-        self.successor(q)
+        self.predecessor(point)
+    }
+
+    /// `(strict_predecessor(point, id), strict_successor(point, id))`
+    /// from one search: the co-located cluster at `point` is found once,
+    /// and the nearest distinct points on either side are the entries
+    /// just outside it.
+    pub fn strict_neighbours(&self, point: Point, id: I) -> Neighbours<I> {
+        let Some(start) = self.lower_bound_wrapping(point) else {
+            return (None, None);
+        };
+        // Walk the cluster at `point` (empty when `start` is past it);
+        // its first other id is the smallest, and both answers.
+        let mut pos = Some(start);
+        while let Some(p) = pos {
+            let e = self.get(p);
+            if e.0 != point {
+                break;
+            }
+            if e.1 != id {
+                return (Some(e), Some(e));
+            }
+            pos = self.next_pos(p);
+        }
+        let after = self.get(pos.unwrap_or((0, 0))); // wrap
+        let before = self.cluster_head(self.prev_pos_wrapping(start));
+        (
+            (before.0 != point).then_some(before),
+            (after.0 != point).then_some(after),
+        )
+    }
+
+    /// Visits the co-located clusters at the `r` nearest distinct points
+    /// counter-clockwise of `x`, nearest first and ascending id inside a
+    /// cluster — exactly what `r` rounds of "`q = predecessor(at)`, visit
+    /// the `(q − 1, q]` range, `at = q`" visit, from one search and a
+    /// backward walk. As those rounds do, the walk goes around again on
+    /// a ring with fewer than `r` distinct points (clusters repeat), stops
+    /// right after visiting a cluster at `x` itself, and visits nothing
+    /// when every entry sits at `x`.
+    pub fn for_each_cluster_before(&self, x: Point, r: usize, mut f: impl FnMut(Point, I)) {
+        // `head` is the first entry of the cluster the walk stands on;
+        // at the start, the first entry at or after `x`.
+        let Some(mut head) = self.lower_bound_wrapping(x) else {
+            return;
+        };
+        let mut at = x;
+        for _ in 0..r {
+            let tail = self.prev_pos_wrapping(head);
+            let q = self.get(tail).0;
+            if q == at {
+                break; // every entry sits at `at`: no predecessor
+            }
+            head = self.cluster_start(tail);
+            let mut pos = head;
+            loop {
+                let e = self.get(pos);
+                f(e.0, e.1);
+                if pos == tail {
+                    break;
+                }
+                pos = self.next_pos(pos).expect("a cluster ends at its tail");
+            }
+            if q == x {
+                break; // wrapped all the way around a tiny ring
+            }
+            at = q;
+        }
     }
 
     /// Entries on the clockwise arc `(a, b]`, in ring order starting just
@@ -319,6 +409,35 @@ impl<I: Copy + Ord> RingIndex<I> {
         self.chunks.get(ci)?.get(off).copied()
     }
 
+    /// The position before `pos` in ring order: the last entry when
+    /// `pos` is the first.
+    fn prev_pos_wrapping(&self, (ci, off): Pos) -> Pos {
+        if off > 0 {
+            return (ci, off - 1);
+        }
+        let ci = ci.checked_sub(1).unwrap_or(self.chunks.len() - 1);
+        (ci, self.chunks[ci].len() - 1)
+    }
+
+    /// The first position of the co-located cluster holding `pos`.
+    /// Clusters never wrap: entries are sorted by point.
+    fn cluster_start(&self, mut pos: Pos) -> Pos {
+        let p = self.get(pos).0;
+        while pos != (0, 0) {
+            let prev = self.prev_pos_wrapping(pos);
+            if self.get(prev).0 != p {
+                break;
+            }
+            pos = prev;
+        }
+        pos
+    }
+
+    /// The smallest-id entry of the cluster holding `pos`.
+    fn cluster_head(&self, pos: Pos) -> (Point, I) {
+        self.get(self.cluster_start(pos))
+    }
+
     fn next_pos(&self, (ci, off): Pos) -> Option<Pos> {
         if off + 1 < self.chunks[ci].len() {
             Some((ci, off + 1))
@@ -329,12 +448,16 @@ impl<I: Copy + Ord> RingIndex<I> {
         }
     }
 
+    /// [`lower_bound`](Self::lower_bound) wrapping past the end to the
+    /// first entry: the position of `successor(p)`. `None` when empty.
+    fn lower_bound_wrapping(&self, p: Point) -> Option<Pos> {
+        (!self.is_empty()).then(|| self.lower_bound(p).unwrap_or((0, 0)))
+    }
+
     /// Position of the first entry with point `>= p`, or `None` when every
     /// entry's point is `< p`.
     fn lower_bound(&self, p: Point) -> Option<Pos> {
-        let ci = self
-            .chunks
-            .partition_point(|c| c.last().expect("chunks are non-empty").0 < p);
+        let ci = self.fences.partition_point(|f| f.0 < p);
         if ci == self.chunks.len() {
             return None;
         }
@@ -345,9 +468,7 @@ impl<I: Copy + Ord> RingIndex<I> {
     /// Position of the first entry with point `> p`, or `None` when every
     /// entry's point is `<= p`.
     fn upper_bound(&self, p: Point) -> Option<Pos> {
-        let ci = self
-            .chunks
-            .partition_point(|c| c.last().expect("chunks are non-empty").0 <= p);
+        let ci = self.fences.partition_point(|f| f.0 <= p);
         if ci == self.chunks.len() {
             return None;
         }
@@ -359,9 +480,7 @@ impl<I: Copy + Ord> RingIndex<I> {
         if self.chunks.is_empty() {
             return None;
         }
-        let ci = self
-            .chunks
-            .partition_point(|c| *c.last().expect("chunks are non-empty") < key);
+        let ci = self.fences.partition_point(|&f| f < key);
         if ci == self.chunks.len() {
             return None;
         }
@@ -386,45 +505,11 @@ impl<I: Copy + Ord> RingIndex<I> {
             pos = self.next_pos(pos)?;
         }
     }
+}
 
-    /// The nearest point strictly counter-clockwise of `x` that holds an
-    /// entry, or `None` when empty or every entry sits at `x`.
-    fn prev_distinct_point(&self, x: Point) -> Option<Point> {
-        if self.is_empty() {
-            return None;
-        }
-        let q = match self.lower_bound(x) {
-            // Entries exist below x: the one just before the bound is the
-            // largest point < x.
-            Some((ci, off)) if (ci, off) != (0, 0) => {
-                let (pci, poff) = if off > 0 {
-                    (ci, off - 1)
-                } else {
-                    (ci - 1, self.chunks[ci - 1].len() - 1)
-                };
-                self.chunks[pci][poff].0
-            }
-            // x is at or below every entry: wrap to the global maximum.
-            Some(_) => {
-                self.chunks
-                    .last()
-                    .expect("non-empty")
-                    .last()
-                    .expect("chunks are non-empty")
-                    .0
-            }
-            // Every entry is below x: the global maximum point.
-            None => {
-                self.chunks
-                    .last()
-                    .expect("non-empty")
-                    .last()
-                    .expect("chunks are non-empty")
-                    .0
-            }
-        };
-        (q != x).then_some(q)
-    }
+/// The last entry of a chunk (chunks are never empty).
+fn last<I: Copy>(chunk: &[(Point, I)]) -> (Point, I) {
+    *chunk.last().expect("chunks are non-empty")
 }
 
 impl<I: fmt::Debug> fmt::Debug for RingIndex<I> {
@@ -605,26 +690,92 @@ mod tests {
         assert_eq!(i.entries().count(), 0);
     }
 
+    /// The fence column holds exactly each chunk's last entry.
+    fn assert_fences(i: &RingIndex<u64>) {
+        let lasts: Vec<(Point, u64)> = i.chunks.iter().map(|c| last(c)).collect();
+        assert_eq!(i.fences, lasts, "fence column out of step with the chunks");
+    }
+
     #[test]
     fn chunks_split_and_merge_under_heavy_churn() {
         let space = KeySpace::full();
         let mut i: RingIndex<u64> = RingIndex::new(space);
         let n = 10 * MAX_CHUNK as u64;
+        let mut splits = 0;
         for k in 0..n {
             // Spread insertions over the ring to hit many chunks.
+            let chunks = i.chunks.len();
             assert!(i.insert(Point::new(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)), k));
+            splits += usize::from(chunks > 0 && i.chunks.len() > chunks);
+            assert_fences(&i);
         }
         assert_eq!(i.len(), n as usize);
-        assert!(i.chunks.len() > 1, "index must have split");
+        assert!(splits > 0, "index must have split");
+        assert!(i.chunks.iter().all(|c| c.len() < MAX_CHUNK));
         // Entries stay globally sorted across chunk boundaries.
         let all: Vec<_> = i.entries().copied().collect();
         assert!(all.windows(2).all(|w| w[0] < w[1]));
         // Remove everything again through the incremental path.
+        let mut merges = 0;
         for k in 0..n {
+            let before: Vec<usize> = i.chunks.iter().map(Vec::len).collect();
             assert!(i.remove(Point::new(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)), k));
+            // A merge drops a chunk that did not just run empty.
+            merges += usize::from(i.chunks.len() < before.len() && !before.contains(&1));
+            assert_fences(&i);
         }
+        assert!(merges > 0, "sparse chunks must have merged");
         assert!(i.is_empty());
         assert!(i.chunks.is_empty());
+    }
+
+    #[test]
+    fn strict_neighbours_pair_the_strict_queries() {
+        let mut i = idx(&[70, 10, 40, 95]);
+        i.insert(Point::new(40), 7);
+        for &(p, id) in &[
+            (10, 1),
+            (40, 2),
+            (40, 7),
+            (95, 3),
+            (70, 0),
+            (50, 9),
+            (99, 4),
+        ] {
+            let (p, id) = (Point::new(p), id);
+            assert_eq!(
+                i.strict_neighbours(p, id),
+                (i.strict_predecessor(p, id), i.strict_successor(p, id)),
+                "({p}, {id})"
+            );
+        }
+        assert_eq!(
+            idx(&[42]).strict_neighbours(Point::new(42), 0),
+            (None, None)
+        );
+    }
+
+    #[test]
+    fn cluster_walk_goes_around_tiny_rings_and_stops_at_x() {
+        let mut i = idx(&[10, 40, 70]);
+        i.insert(Point::new(40), 9);
+        let walk = |i: &RingIndex<u64>, x: u64, r: usize| {
+            let mut seen = Vec::new();
+            i.for_each_cluster_before(Point::new(x), r, |p, id| seen.push((p.get(), id)));
+            seen
+        };
+        // Nearest first, ascending id inside the cluster at 40.
+        assert_eq!(walk(&i, 71, 2), vec![(70, 2), (40, 1), (40, 9)]);
+        // x = 40 holds entries: the walk stops right after reaching it.
+        assert_eq!(walk(&i, 40, 8), vec![(10, 0), (70, 2), (40, 1), (40, 9)]);
+        // x = 50 holds none: clusters repeat until r are visited.
+        assert_eq!(
+            walk(&i, 50, 4),
+            vec![(40, 1), (40, 9), (10, 0), (70, 2), (40, 1), (40, 9)]
+        );
+        // Every entry at x: nothing precedes it.
+        assert_eq!(walk(&idx(&[5]), 5, 3), vec![]);
+        assert_eq!(walk(&idx(&[5]), 6, 3), vec![(5, 0)]);
     }
 
     #[test]

@@ -82,6 +82,26 @@ impl Naive {
             .min_by_key(|&(p, id)| (self.space.distance(p, p0).get(), id))
     }
 
+    /// `r` rounds of "`q = predecessor(at)`, the `(q − 1, q]` range,
+    /// `at = q`", stopping after a cluster at `x` itself — the loop
+    /// `RingIndex::for_each_cluster_before` replaces.
+    fn clusters_before(&self, x: Point, r: usize) -> Vec<(Point, u64)> {
+        let one = keyspace::Distance::new(1);
+        let mut out = Vec::new();
+        let mut at = x;
+        for _ in 0..r {
+            let Some((q, _)) = self.predecessor(at) else {
+                break;
+            };
+            out.extend(self.range(self.space.sub(q, one), q));
+            if q == x {
+                break;
+            }
+            at = q;
+        }
+        out
+    }
+
     fn sorted(&self) -> Vec<(Point, u64)> {
         let mut v = self.entries.clone();
         v.sort_unstable();
@@ -161,6 +181,14 @@ fn check_agreement(index: &RingIndex<u64>, naive: &Naive, probes: &[u64], modulu
             naive.strict_predecessor(p, id),
             "strict_predecessor of ({p}, {id})"
         );
+        assert_eq!(
+            index.strict_neighbours(p, id),
+            (
+                naive.strict_predecessor(p, id),
+                naive.strict_successor(p, id)
+            ),
+            "strict_neighbours of ({p}, {id})"
+        );
     }
     assert_eq!(index.nth(index.len()), None);
     let m = modulus.min(u64::MAX as u128 + 1);
@@ -172,6 +200,25 @@ fn check_agreement(index: &RingIndex<u64>, naive: &Naive, probes: &[u64], modulu
             naive.predecessor(x),
             "predecessor({x})"
         );
+        // Non-members too: the strict queries are defined for any pair.
+        let stranger = raw % 7;
+        assert_eq!(
+            index.strict_neighbours(x, stranger),
+            (
+                naive.strict_predecessor(x, stranger),
+                naive.strict_successor(x, stranger)
+            ),
+            "strict_neighbours of ({x}, {stranger})"
+        );
+        for r in [1, 3, 8] {
+            let mut walk = Vec::new();
+            index.for_each_cluster_before(x, r, |p, id| walk.push((p, id)));
+            assert_eq!(
+                walk,
+                naive.clusters_before(x, r),
+                "for_each_cluster_before({x}, {r})"
+            );
+        }
     }
     for pair in probes.chunks(2) {
         if let [araw, braw] = *pair {
