@@ -33,16 +33,23 @@
 //! can ride on top of a hand-built plan), and [`FaultPlan::clear`] resets
 //! a plan to honest. [`ChordNetwork::find_successor_with_faults`] and
 //! [`ChordDht::with_fault_plan`] apply a plan without touching
-//! honest-path code.
+//! honest-path code. A lookup asks the plan about every hop it takes, so
+//! the plan is a table indexed by arena index, one byte of packed flags
+//! per node, rather than a hashed map.
 //!
 //! [`ChordNetwork::find_successor_with_faults`]: crate::ChordNetwork::find_successor_with_faults
 //! [`ChordDht::with_fault_plan`]: crate::ChordDht::with_fault_plan
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use crate::network::{ChordNetwork, NodeId};
+
+/// [`NodeFaults::claim_ownership`] in a packed flag byte.
+const CLAIM: u8 = 1;
+/// [`NodeFaults::eclipse_next`] in a packed flag byte.
+const ECLIPSE: u8 = 1 << 1;
+/// [`NodeFaults::forge_owned_position`] in a packed flag byte.
+const FORGE: u8 = 1 << 2;
 
 /// The misbehaviours one Byzantine node exercises, one flag per protocol
 /// surface it can lie on.
@@ -81,6 +88,23 @@ impl NodeFaults {
         forge_owned_position: false,
     };
 
+    /// The flags as one byte: bit 0 claims ownership, bit 1 eclipses
+    /// `next`, bit 2 forges the owned position.
+    const fn pack(self) -> u8 {
+        self.claim_ownership as u8
+            | (self.eclipse_next as u8) << 1
+            | (self.forge_owned_position as u8) << 2
+    }
+
+    /// The flags [`pack`](Self::pack) stored in `bits`.
+    const fn unpack(bits: u8) -> NodeFaults {
+        NodeFaults {
+            claim_ownership: bits & CLAIM != 0,
+            eclipse_next: bits & ECLIPSE != 0,
+            forge_owned_position: bits & FORGE != 0,
+        }
+    }
+
     /// Whether any behaviour is enabled.
     pub fn is_byzantine(self) -> bool {
         self.claim_ownership || self.eclipse_next || self.forge_owned_position
@@ -117,7 +141,10 @@ impl NodeFaults {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    byzantine: HashMap<NodeId, NodeFaults>,
+    /// [`NodeFaults::pack`]ed flags per arena index, up to the highest
+    /// index any behaviour was given to; every index past the end is
+    /// honest.
+    flags: Vec<u8>,
 }
 
 impl FaultPlan {
@@ -135,9 +162,16 @@ impl FaultPlan {
     /// Marks an explicit set of nodes Byzantine with the given behaviour
     /// set.
     pub fn with_behavior(nodes: impl IntoIterator<Item = NodeId>, faults: NodeFaults) -> FaultPlan {
-        FaultPlan {
-            byzantine: nodes.into_iter().map(|id| (id, faults)).collect(),
+        let mut plan = FaultPlan::none();
+        let bits = faults.pack();
+        for id in nodes {
+            let i = id.index();
+            if i >= plan.flags.len() {
+                plan.flags.resize(i + 1, 0);
+            }
+            plan.flags[i] = bits;
         }
+        plan
     }
 
     /// Samples `⌊fraction · live⌋` live nodes as Byzantine, uniformly
@@ -172,9 +206,11 @@ impl FaultPlan {
     /// disables anything either plan enabled. This is what lets a
     /// coalition plan ride on a hand-built plan without clobbering it.
     pub fn merge(&mut self, other: &FaultPlan) {
-        for (&id, &faults) in &other.byzantine {
-            let entry = self.byzantine.entry(id).or_insert(NodeFaults::HONEST);
-            *entry = entry.union(faults);
+        if other.flags.len() > self.flags.len() {
+            self.flags.resize(other.flags.len(), 0);
+        }
+        for (mine, theirs) in self.flags.iter_mut().zip(&other.flags) {
+            *mine |= theirs;
         }
     }
 
@@ -187,70 +223,72 @@ impl FaultPlan {
 
     /// Resets the plan to honest (no Byzantine nodes).
     pub fn clear(&mut self) {
-        self.byzantine.clear();
+        self.flags.clear();
     }
 
     /// Disables the `find_successor` capture behaviour on every node.
-    pub fn without_ownership_claims(mut self) -> FaultPlan {
-        for faults in self.byzantine.values_mut() {
-            faults.claim_ownership = false;
+    pub fn without_ownership_claims(self) -> FaultPlan {
+        self.without(CLAIM)
+    }
+
+    /// Disables the `next(p)` eclipse behaviour on every node.
+    pub fn without_next_eclipse(self) -> FaultPlan {
+        self.without(ECLIPSE)
+    }
+
+    /// This plan with the `flag` behaviour disabled on every node.
+    fn without(mut self, flag: u8) -> FaultPlan {
+        for bits in &mut self.flags {
+            *bits &= !flag;
         }
         self
     }
 
-    /// Disables the `next(p)` eclipse behaviour on every node.
-    pub fn without_next_eclipse(mut self) -> FaultPlan {
-        for faults in self.byzantine.values_mut() {
-            faults.eclipse_next = false;
-        }
-        self
+    /// The packed flags of `node` (0 if the plan never named it).
+    fn bits(&self, node: NodeId) -> u8 {
+        self.flags.get(node.index()).copied().unwrap_or(0)
     }
 
     /// The behaviour set of `node` ([`NodeFaults::HONEST`] if absent).
     pub fn faults_of(&self, node: NodeId) -> NodeFaults {
-        self.byzantine
-            .get(&node)
-            .copied()
-            .unwrap_or(NodeFaults::HONEST)
+        NodeFaults::unpack(self.bits(node))
     }
 
     /// Whether `node` is Byzantine (has any behaviour enabled).
     pub fn is_byzantine(&self, node: NodeId) -> bool {
-        self.faults_of(node).is_byzantine()
+        self.bits(node) != 0
     }
 
     /// Whether `node` answers lookups by claiming ownership of the target.
     pub fn claims_ownership(&self, node: NodeId) -> bool {
-        self.faults_of(node).claim_ownership
+        self.bits(node) & CLAIM != 0
     }
 
     /// Whether `node` misreports its successor pointer.
     pub fn eclipses_next(&self, node: NodeId) -> bool {
-        self.faults_of(node).eclipse_next
+        self.bits(node) & ECLIPSE != 0
     }
 
     /// Whether `node` forges its self-reported position when it is the
     /// genuine answer of a lookup.
     pub fn forges_owned_position(&self, node: NodeId) -> bool {
-        self.faults_of(node).forge_owned_position
+        self.bits(node) & FORGE != 0
     }
 
     /// Number of Byzantine nodes in the plan (nodes whose behaviour set is
     /// empty — e.g. after `without_*` stripped it — don't count).
     pub fn byzantine_count(&self) -> usize {
-        self.byzantine.values().filter(|f| f.is_byzantine()).count()
+        self.flags.iter().filter(|&&bits| bits != 0).count()
     }
 
     /// The Byzantine nodes, in arena order (deterministic).
     pub fn byzantine_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .byzantine
+        self.flags
             .iter()
-            .filter(|(_, f)| f.is_byzantine())
-            .map(|(&id, _)| id)
-            .collect();
-        nodes.sort_unstable();
-        nodes
+            .enumerate()
+            .filter(|&(_, &bits)| bits != 0)
+            .map(|(i, _)| NodeId::from_index(i))
+            .collect()
     }
 }
 
@@ -261,6 +299,7 @@ mod tests {
     use keyspace::KeySpace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn bootstrap(n: usize, seed: u64) -> ChordNetwork {
         let space = KeySpace::full();
@@ -382,6 +421,86 @@ mod tests {
         assert!(!plan.is_byzantine(node), "no behaviour left");
         assert_eq!(plan.byzantine_count(), 0);
         assert!(plan.byzantine_nodes().is_empty());
+    }
+
+    /// A random behaviour set (honest included).
+    fn random_faults(r: &mut StdRng) -> NodeFaults {
+        NodeFaults {
+            claim_ownership: r.gen(),
+            eclipse_next: r.gen(),
+            forge_owned_position: r.gen(),
+        }
+    }
+
+    /// A random plan over indices below `span`, with the map it stands
+    /// for: `with_behavior` gives every named node the same set.
+    fn random_plan(r: &mut StdRng, span: usize) -> (FaultPlan, HashMap<NodeId, NodeFaults>) {
+        let faults = random_faults(r);
+        let nodes: Vec<NodeId> = (0..r.gen_range(0..12usize))
+            .map(|_| NodeId::from_index(r.gen_range(0..span)))
+            .collect();
+        let model = nodes.iter().map(|&id| (id, faults)).collect();
+        (FaultPlan::with_behavior(nodes, faults), model)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_packed_table_answers_like_a_map(
+            seed in 0u64..1_000_000,
+            steps in 1usize..40,
+            span in 1usize..300,
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut plan = FaultPlan::none();
+            let mut model: HashMap<NodeId, NodeFaults> = HashMap::new();
+            for step in 0..steps {
+                match r.gen_range(0..6u32) {
+                    0 => (plan, model) = random_plan(&mut r, span),
+                    1 | 2 => {
+                        let (other, other_model) = random_plan(&mut r, span);
+                        plan.merge(&other);
+                        for (id, faults) in other_model {
+                            let entry = model.entry(id).or_insert(NodeFaults::HONEST);
+                            *entry = entry.union(faults);
+                        }
+                    }
+                    3 => {
+                        plan = plan.without_ownership_claims();
+                        model.values_mut().for_each(|f| f.claim_ownership = false);
+                    }
+                    4 => {
+                        plan = plan.without_next_eclipse();
+                        model.values_mut().for_each(|f| f.eclipse_next = false);
+                    }
+                    _ => {
+                        plan.clear();
+                        model.clear();
+                    }
+                }
+                for i in 0..span + 8 {
+                    let id = NodeId::from_index(i);
+                    let want = model.get(&id).copied().unwrap_or(NodeFaults::HONEST);
+                    proptest::prop_assert_eq!(plan.faults_of(id), want, "step {}: {}", step, id);
+                    proptest::prop_assert_eq!(plan.is_byzantine(id), want.is_byzantine());
+                    proptest::prop_assert_eq!(plan.claims_ownership(id), want.claim_ownership);
+                    proptest::prop_assert_eq!(plan.eclipses_next(id), want.eclipse_next);
+                    proptest::prop_assert_eq!(
+                        plan.forges_owned_position(id),
+                        want.forge_owned_position
+                    );
+                }
+                let mut byzantine: Vec<NodeId> = model
+                    .iter()
+                    .filter(|(_, f)| f.is_byzantine())
+                    .map(|(&id, _)| id)
+                    .collect();
+                byzantine.sort_unstable();
+                proptest::prop_assert_eq!(plan.byzantine_count(), byzantine.len(), "step {}", step);
+                proptest::prop_assert_eq!(plan.byzantine_nodes(), byzantine, "step {}", step);
+            }
+        }
     }
 
     #[test]

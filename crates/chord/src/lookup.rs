@@ -20,8 +20,8 @@ pub(crate) struct TraceBuilder {
     seen_latency: u64,
     /// Retry attempt stamped on every routed hop (0 = first try).
     attempt: u8,
-    /// Operation ordinal (from `Recorder::next_op_ordinal`) — the id
-    /// histogram exemplars carry, so tail buckets join back to traces.
+    /// Operation ordinal (from [`ChordNetwork::next_op_ordinal`]) — the
+    /// id histogram exemplars carry, so tail buckets join back to traces.
     ordinal: u64,
 }
 
@@ -324,7 +324,7 @@ impl ChordNetwork {
         }
         // Drawn whether or not tracing is on, so exemplar ids agree
         // between traced and untraced replays of the same seed.
-        let ordinal = recorder.next_op_ordinal();
+        let ordinal = self.next_op_ordinal();
         st.ordinal = Some(ordinal);
         st.cost = Cost::FREE;
         st.skip = 0;
@@ -530,6 +530,14 @@ impl ChordNetwork {
     /// same first probe, so every message, latency draw, score update
     /// and counter is bit-identical either way.
     ///
+    /// The key is one `u128`, `healthy << 64 | distance`, with 0 for a
+    /// candidate out of range, and the running best is that integer and
+    /// its candidate in two locals. Keep them plain integers: a fold over
+    /// `Option<((bool, Distance), NodeId)>` values copies its accumulator
+    /// through the stack in overlapping pieces and reloads it whole, a
+    /// load no store can forward, which stalls the loop once per
+    /// candidate.
+    ///
     /// On an exact finger table ([`finger_table_exact`]) the fingers'
     /// share of that pass is a scan of the sorted runs instead of a read
     /// of every run's ring point. Each finger `b` then holds the true
@@ -554,62 +562,73 @@ impl ChordNetwork {
         rng: &mut R,
     ) -> Option<NodeId> {
         let space = self.space();
-        let at_point = self.node(at).point();
+        let node = self.node(at);
+        let at_point = node.point();
         // `(at, target)` is open; `at == target` denotes the whole ring
         // minus `at` itself (see `between_open`).
-        let span = space.distance(at_point, target);
-        let first = {
+        let span = space.distance(at_point, target).get();
+        // The best key so far and its candidate; `pick` means nothing
+        // while `best` is 0.
+        let (mut best, mut pick) = (0u128, at);
+        {
             let scores = self.scores().map(|s| s.borrow());
-            let node = self.node(at);
-            // An in-range candidate's `(not penalized, distance)` key;
-            // `at` itself sits at distance 0, out of range.
-            let keyed = |c: NodeId| {
-                let d = space.distance(at_point, self.node(c).point());
-                let in_range = !d.is_zero() && (span.is_zero() || d < span);
-                in_range.then(|| {
-                    let healthy = scores.as_ref().is_none_or(|s| !s.penalized(c));
-                    ((healthy, d), c)
-                })
+            // A candidate's `(not penalized, distance from at)` key as one
+            // integer, `healthy << 64 | distance`, or 0 out of range: the
+            // distance must lie in `[1, span)`, or be nonzero when the
+            // span is 0 (the whole ring). `at` itself sits at distance 0.
+            let key = |c: NodeId| -> u128 {
+                let d = space.distance(at_point, self.node(c).point()).get();
+                if d.wrapping_sub(1) >= span.wrapping_sub(1) {
+                    return 0;
+                }
+                let healthy = scores.as_ref().is_none_or(|s| !s.penalized(c));
+                u128::from(healthy) << 64 | u128::from(d)
             };
             let fingers = node.fingers();
-            let best_finger = if self.finger_table_exact(at) {
+            if self.finger_table_exact(at) {
                 // Runs starting below bit `ilog2(span - 1) + 1` have
                 // `2^s < span`; a zero span (the whole ring) admits all.
-                let below = 64 - span.get().wrapping_sub(1).leading_zeros();
-                let mut in_range = fingers.runs_starting_below(below).rev().filter_map(&keyed);
-                let top = in_range.next();
-                match top {
-                    Some(((false, _), _)) => in_range.find(|&((healthy, _), _)| healthy).or(top),
-                    _ => top,
+                // Their distances fall run by run, so the first healthy
+                // in-range run beats every run below it.
+                let below = 64 - span.wrapping_sub(1).leading_zeros();
+                for c in fingers.runs_starting_below(below).rev() {
+                    let k = key(c);
+                    if k > best {
+                        (best, pick) = (k, c);
+                        if k >> 64 != 0 {
+                            break;
+                        }
+                    }
                 }
             } else {
-                fingers
-                    .distinct()
-                    .filter_map(&keyed)
-                    .max_by_key(|&(key, _)| key)
-            };
-            // The successor list joins the same maximum, the later of two
-            // equal keys winning as in `max_by_key`.
-            node.successors()
-                .iter()
-                .filter_map(&keyed)
-                .fold(best_finger, |best, (key, c)| match best {
-                    Some((top, _)) if top > key => best,
-                    _ => Some((key, c)),
-                })
-                .map(|(_, c)| c)
-        };
-        match first {
-            Some(cand) if self.node(cand).is_alive() => {
-                cost.messages += 1;
-                cost.latency += self.config().latency().sample(rng).ticks();
-                if let Some(scores) = self.scores() {
-                    scores.borrow_mut().record(cand, true);
+                // The later of two equal keys wins, as the stable sorts of
+                // the ordered walk leave it. An out-of-range 0 only
+                // replaces another 0.
+                for c in fingers.distinct() {
+                    let k = key(c);
+                    if k >= best {
+                        (best, pick) = (k, c);
+                    }
                 }
-                Some(cand)
             }
-            _ => self.closest_preceding_ordered(at, target, cost, skip, rng),
+            // The successor list joins the same maximum, with the same
+            // tie rule.
+            for c in node.successors().iter() {
+                let k = key(c);
+                if k >= best {
+                    (best, pick) = (k, c);
+                }
+            }
         }
+        if best == 0 || !self.node(pick).is_alive() {
+            return self.closest_preceding_ordered(at, target, cost, skip, rng);
+        }
+        cost.messages += 1;
+        cost.latency += self.config().latency().sample(rng).ticks();
+        if let Some(scores) = self.scores() {
+            scores.borrow_mut().record(pick, true);
+        }
+        Some(pick)
     }
 
     /// The full ordered walk behind
@@ -754,7 +773,7 @@ impl ChordNetwork {
         // The fallback tiers are one logical operation: one ordinal
         // (drawn traced or not, keeping exemplar ids replay-stable) and
         // one trace carrying synthetic walk/quorum hops.
-        let fallback_ordinal = recorder.next_op_ordinal();
+        let fallback_ordinal = self.next_op_ordinal();
         let last_attempt = policy.max_attempts.max(1) - 1;
         let mut trace = TraceBuilder::open(
             self,
@@ -1425,11 +1444,6 @@ mod tests {
         seed: u64,
     ) -> SelectionCounts {
         let mut r = rand::rngs::StdRng::seed_from_u64(seed);
-        let dead_probes = |net: &ChordNetwork| {
-            net.metrics()
-                .recorder()
-                .counter_value(net.counters().lookup_dead_probe)
-        };
         let mut seen = SelectionCounts::default();
         let all = fast.node_ids();
         for q in 0..queries {
@@ -1444,70 +1458,96 @@ mod tests {
                 _ => fast.space().random_point(&mut r),
             };
             let node = fast.node(at);
-            let candidates: Vec<NodeId> = node
+            if node
                 .fingers()
                 .distinct()
                 .chain(node.successors().iter())
-                .collect();
-            if candidates.iter().any(|&c| fast.peer_penalized(c)) {
+                .any(|c| fast.peer_penalized(c))
+            {
                 seen.penalized += 1;
             }
             if fast.finger_table_exact(at) {
                 seen.scans += 1;
             }
-            let probe_seed = r.gen::<u64>();
-            let (mut fast_rng, mut ref_rng) = (
-                rand::rngs::StdRng::seed_from_u64(probe_seed),
-                rand::rngs::StdRng::seed_from_u64(probe_seed),
-            );
-            let (mut fast_cost, mut ref_cost) = (Cost::FREE, Cost::FREE);
-            let (mut fast_skip, mut ref_skip) = (0u64, 0u64);
-            let (fast_dead, ref_dead) = (dead_probes(fast), dead_probes(reference));
-            let got =
-                fast.closest_preceding(at, target, &mut fast_cost, &mut fast_skip, &mut fast_rng);
-            let want = reference.closest_preceding_ordered(
-                at,
-                target,
-                &mut ref_cost,
-                &mut ref_skip,
-                &mut ref_rng,
-            );
-            assert_eq!(got, want, "query {q}: next hop");
-            assert_eq!(fast_cost, ref_cost, "query {q}: cost");
-            assert_eq!(fast_skip, ref_skip, "query {q}: demoted skip");
-            let dead_delta = dead_probes(fast) - fast_dead;
-            assert_eq!(
-                dead_delta,
-                dead_probes(reference) - ref_dead,
-                "query {q}: dead probes"
-            );
-            assert_eq!(
-                fast_rng.gen::<u64>(),
-                ref_rng.gen::<u64>(),
-                "query {q}: latency draws"
-            );
-            assert_eq!(
-                fast.score_bytes(),
-                reference.score_bytes(),
-                "query {q}: score table"
-            );
-            for c in candidates {
-                assert_eq!(
-                    fast.peer_score(c),
-                    reference.peer_score(c),
-                    "query {q}: score of {c}"
-                );
-                assert_eq!(
-                    fast.peer_penalized(c),
-                    reference.peer_penalized(c),
-                    "query {q}: penalty of {c}"
-                );
-            }
-            if dead_delta > 0 {
+            if assert_one_selection_matches(fast, reference, at, target, r.gen::<u64>(), q) > 0 {
                 seen.fallbacks += 1;
             }
         }
         seen
+    }
+
+    /// One selection at `at` for `target`: the one-pass
+    /// `closest_preceding` on `fast` and the ordered walk on `reference`,
+    /// both drawing latency from `probe_seed`. Checks that the next hop,
+    /// cost, demoted skip, dead probes, latency draws and scores agree,
+    /// and returns the dead probes the selection paid. `q` labels
+    /// failures.
+    fn assert_one_selection_matches(
+        fast: &ChordNetwork,
+        reference: &ChordNetwork,
+        at: NodeId,
+        target: Point,
+        probe_seed: u64,
+        q: usize,
+    ) -> u64 {
+        let dead_probes = |net: &ChordNetwork| {
+            net.metrics()
+                .recorder()
+                .counter_value(net.counters().lookup_dead_probe)
+        };
+        let node = fast.node(at);
+        let candidates: Vec<NodeId> = node
+            .fingers()
+            .distinct()
+            .chain(node.successors().iter())
+            .collect();
+        let (mut fast_rng, mut ref_rng) = (
+            rand::rngs::StdRng::seed_from_u64(probe_seed),
+            rand::rngs::StdRng::seed_from_u64(probe_seed),
+        );
+        let (mut fast_cost, mut ref_cost) = (Cost::FREE, Cost::FREE);
+        let (mut fast_skip, mut ref_skip) = (0u64, 0u64);
+        let (fast_dead, ref_dead) = (dead_probes(fast), dead_probes(reference));
+        let got = fast.closest_preceding(at, target, &mut fast_cost, &mut fast_skip, &mut fast_rng);
+        let want = reference.closest_preceding_ordered(
+            at,
+            target,
+            &mut ref_cost,
+            &mut ref_skip,
+            &mut ref_rng,
+        );
+        assert_eq!(got, want, "query {q}: next hop");
+        assert_eq!(fast_cost, ref_cost, "query {q}: cost");
+        assert_eq!(fast_skip, ref_skip, "query {q}: demoted skip");
+        let dead_delta = dead_probes(fast) - fast_dead;
+        assert_eq!(
+            dead_delta,
+            dead_probes(reference) - ref_dead,
+            "query {q}: dead probes"
+        );
+        assert_eq!(
+            fast_rng.gen::<u64>(),
+            ref_rng.gen::<u64>(),
+            "query {q}: latency draws"
+        );
+        assert_eq!(
+            fast.score_bytes(),
+            reference.score_bytes(),
+            "query {q}: score table"
+        );
+        for c in candidates {
+            assert_eq!(
+                fast.peer_score(c),
+                reference.peer_score(c),
+                "query {q}: score of {c}"
+            );
+            assert_eq!(
+                fast.peer_penalized(c),
+                reference.peer_penalized(c),
+                "query {q}: penalty of {c}"
+            );
+        }
+        dead_delta
     }
 
     proptest::proptest! {
@@ -1579,6 +1619,70 @@ mod tests {
         );
         assert!(seen.scans > 0, "no selection scanned an exact table");
         assert!(seen.scans < 400, "no selection took the full pass");
+    }
+
+    /// A stale table whose full pass meets a tie: two runs holding
+    /// co-located peers. On the ring 0..1024, node `x` at 0 keeps
+    /// 1, 2, 4, 8 at finger levels 0–3, `q` at 200 at levels 4–7 and the
+    /// first of a co-located pair at 512 at levels 8–9; its successor list
+    /// is 1..=8. Crashing `q` and the pair's first member, then re-routing
+    /// level 4, writes the live twin into a run of its own below the dead
+    /// one. Returns the ring, `x`, the dead member and its live twin.
+    fn co_located_runs() -> (ChordNetwork, NodeId, NodeId, NodeId) {
+        let space = KeySpace::with_modulus(1024).unwrap();
+        let points = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 512].map(Point::new);
+        let mut net = ChordNetwork::bootstrap(space, points.to_vec(), ChordConfig::default());
+        let at = |net: &ChordNetwork, p: u64| {
+            net.live_ids()
+                .into_iter()
+                .find(|&id| net.node(id).point() == Point::new(p))
+                .unwrap()
+        };
+        let (x, q, dead) = (at(&net, 0), at(&net, 200), at(&net, 512));
+        let mut r = rng();
+        let twin = net.join(Point::new(512), x, &mut r).unwrap();
+        // Rebuilds every table around the pair; the fingers keep naming
+        // the pair's first member, the lower id.
+        net.bulk_join(vec![Point::new(700)]);
+        net.crash(q);
+        net.crash(dead);
+        net.fix_finger(x, 4, &mut r);
+        (net, x, dead, twin)
+    }
+
+    #[test]
+    fn full_pass_ties_between_co_located_runs_go_to_the_later_run() {
+        // The ordered walk's stable sorts leave the later of two equal
+        // keys on top, so the full pass over a stale table must keep the
+        // later run: here the dead member, which sends the hop to the
+        // ordered walk and its dead probe. Keeping the earlier run instead
+        // would forward to the live twin one message early.
+        let (fast, x, dead, twin) = co_located_runs();
+        let (reference, ..) = co_located_runs();
+        let runs: Vec<NodeId> = fast.node(x).fingers().distinct().collect();
+        let pos = |id| runs.iter().position(|&c| c == id);
+        assert!(pos(twin) < pos(dead), "runs {runs:?}");
+        assert!(!fast.finger_table_exact(x));
+        assert!(!fast
+            .node(x)
+            .successors()
+            .iter()
+            .any(|c| c == twin || c == dead));
+        // Just past the pair, the two tie for the top key.
+        let dead_paid = assert_one_selection_matches(&fast, &reference, x, Point::new(513), 7, 0);
+        assert_eq!(dead_paid, 1, "the later run holds the dead member");
+        // Every other live origin and target just past a live point.
+        let points: Vec<Point> = fast
+            .live_ids()
+            .iter()
+            .map(|&id| fast.node(id).point())
+            .collect();
+        for (q, at) in fast.live_ids().into_iter().enumerate() {
+            for &p in &points {
+                let target = fast.space().add(p, keyspace::Distance::new(1));
+                assert_one_selection_matches(&fast, &reference, at, target, p.get(), q);
+            }
+        }
     }
 
     #[test]

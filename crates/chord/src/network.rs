@@ -1,5 +1,5 @@
 use core::fmt;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use keyspace::{Distance, KeySpace, Point};
 use rand::Rng;
@@ -212,6 +212,10 @@ pub struct ChordNetwork {
     /// The successor list [`stabilize`](ChordNetwork::stabilize) builds,
     /// kept between calls so a call allocates nothing.
     list_scratch: Vec<NodeId>,
+    /// The next operation ordinal
+    /// ([`next_op_ordinal`](ChordNetwork::next_op_ordinal)). Lookups take
+    /// `&self` and the network is not `Sync`, so a plain cell suffices.
+    op_seq: Cell<u64>,
 }
 
 /// Pre-registered telemetry handles for every chord hot-path counter plus
@@ -327,7 +331,10 @@ impl ChordNetwork {
     pub fn new(space: KeySpace, config: ChordConfig) -> ChordNetwork {
         let finger_bits = (128 - (space.modulus() - 1).leading_zeros()) as usize;
         let finger_bits = finger_bits.max(1);
-        let metrics = Metrics::new();
+        // Every write comes from the network's own `&self`/`&mut self`
+        // methods, and the network is not `Sync`, so one thread writes at
+        // a time and the recorder can skip locked read-modify-writes.
+        let metrics = Metrics::single_writer();
         let counters = ChordCounters::register(metrics.recorder());
         ChordNetwork {
             space,
@@ -344,6 +351,7 @@ impl ChordNetwork {
             scores: None,
             retry: None,
             list_scratch: Vec::new(),
+            op_seq: Cell::new(0),
         }
     }
 
@@ -515,6 +523,19 @@ impl ChordNetwork {
     /// The pre-registered telemetry handles for this network's recorder.
     pub fn counters(&self) -> ChordCounters {
         self.counters
+    }
+
+    /// Draws the next operation ordinal: the id a lookup attempt (or a
+    /// lookup's fallback tiers) stamps on its hop-histogram exemplar and
+    /// its trace, so a tail bucket joins back to a replayable
+    /// [`LookupTrace`](telemetry::LookupTrace). Ordinals count from 0 per
+    /// network and are drawn whether or not tracing is on, so traced and
+    /// untraced replays of a seed carry the same ids.
+    #[inline]
+    pub fn next_op_ordinal(&self) -> u64 {
+        let ordinal = self.op_seq.get();
+        self.op_seq.set(ordinal + 1);
+        ordinal
     }
 
     /// Number of finger-table entries per node (`⌈log₂ M⌉`).

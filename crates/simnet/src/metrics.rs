@@ -39,6 +39,15 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// Creates an empty registry over a
+    /// [`Recorder::single_writer`](telemetry::Recorder::single_writer),
+    /// for an owner that writes from one thread at a time.
+    pub fn single_writer() -> Metrics {
+        Metrics {
+            recorder: Recorder::single_writer(),
+        }
+    }
+
     /// The underlying recorder: interned counter/histogram handles,
     /// lookup traces, and cost attribution scopes live there.
     pub fn recorder(&self) -> &Recorder {

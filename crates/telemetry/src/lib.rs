@@ -63,6 +63,22 @@ mod recorder;
 mod timeseries;
 mod trace;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Adds `delta` to `slot`: one locked `fetch_add` when the slot may have
+/// several writers at once, a plain load and store when it has one.
+#[inline]
+fn bump(shared: bool, slot: &AtomicU64, delta: u64) {
+    if shared {
+        slot.fetch_add(delta, Ordering::Relaxed);
+    } else {
+        slot.store(
+            slot.load(Ordering::Relaxed).wrapping_add(delta),
+            Ordering::Relaxed,
+        );
+    }
+}
+
 pub use profiler::{SpanId, SpanProfiler};
 pub use recorder::{CounterId, HistogramId, Recorder};
 pub use timeseries::{HealthEventRecord, TimeSeries, WindowSnapshot};

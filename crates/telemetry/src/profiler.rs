@@ -48,6 +48,9 @@ pub struct SpanId(u32);
 pub struct SpanProfiler {
     names: Mutex<Vec<&'static str>>,
     costs: Box<[AtomicU64]>,
+    /// Whether several threads may add at once (see
+    /// [`Recorder::single_writer`](crate::Recorder::single_writer)).
+    shared: bool,
 }
 
 impl SpanProfiler {
@@ -56,6 +59,18 @@ impl SpanProfiler {
         SpanProfiler {
             names: Mutex::new(Vec::new()),
             costs: (0..SPAN_CAPACITY).map(|_| AtomicU64::new(0)).collect(),
+            shared: true,
+        }
+    }
+
+    /// An empty profiler for one writer at a time, the profiler of a
+    /// [`Recorder::single_writer`](crate::Recorder::single_writer): each
+    /// [`add`](SpanProfiler::add) is a plain load and store instead of a
+    /// locked read-modify-write.
+    pub(crate) fn single_writer() -> SpanProfiler {
+        SpanProfiler {
+            shared: false,
+            ..SpanProfiler::new()
         }
     }
 
@@ -81,10 +96,12 @@ impl SpanProfiler {
     }
 
     /// Attributes `cost` simulated units to a span (one relaxed atomic
-    /// add; lock-free).
+    /// add, or a plain load and store in a
+    /// [`Recorder::single_writer`](crate::Recorder::single_writer);
+    /// lock-free either way).
     #[inline]
     pub fn add(&self, id: SpanId, cost: u64) {
-        self.costs[id.0 as usize].fetch_add(cost, Ordering::Relaxed);
+        crate::bump(self.shared, &self.costs[id.0 as usize], cost);
     }
 
     /// Every registered span with its summed simulated cost (ticks or

@@ -144,8 +144,10 @@ pub struct Recorder {
     flight: Mutex<FlightRecorder>,
     window: Mutex<WindowState>,
     health: Mutex<Vec<HealthEventRecord>>,
-    op_seq: AtomicU64,
     profiler: SpanProfiler,
+    /// Whether several threads may write at once (see
+    /// [`single_writer`](Recorder::single_writer)).
+    shared: bool,
 }
 
 impl Recorder {
@@ -161,8 +163,24 @@ impl Recorder {
             flight: Mutex::new(FlightRecorder::new(64)),
             window: Mutex::new(WindowState::default()),
             health: Mutex::new(Vec::new()),
-            op_seq: AtomicU64::new(0),
             profiler: SpanProfiler::new(),
+            shared: true,
+        }
+    }
+
+    /// An empty recorder for one writer at a time, such as the recorder
+    /// a `!Sync` simulation object owns. Counter adds, histogram bucket
+    /// increments and span adds are plain loads and stores instead of
+    /// locked read-modify-writes, which on the lookup hot path cost
+    /// several times more. Totals are exact while no two threads write
+    /// at once; reads from other threads stay safe, and every value is
+    /// the same as a [`new`](Recorder::new) recorder's given the same
+    /// single-threaded writes.
+    pub fn single_writer() -> Recorder {
+        Recorder {
+            profiler: SpanProfiler::single_writer(),
+            shared: false,
+            ..Recorder::new()
         }
     }
 
@@ -193,10 +211,12 @@ impl Recorder {
         self.add(id, 1);
     }
 
-    /// Increments a counter by `delta` (relaxed atomic; lock-free).
+    /// Increments a counter by `delta` (relaxed atomic, or a plain load
+    /// and store on a [`single_writer`](Recorder::single_writer)
+    /// recorder; lock-free either way).
     #[inline]
     pub fn add(&self, id: CounterId, delta: u64) {
-        self.counters[id.0 as usize].fetch_add(delta, Ordering::Relaxed);
+        crate::bump(self.shared, &self.counters[id.0 as usize], delta);
     }
 
     /// Current value of a counter.
@@ -252,7 +272,11 @@ impl Recorder {
     #[inline]
     pub fn record(&self, id: HistogramId, value: u64) {
         let slot = &self.hist_slots[id.0 as usize];
-        slot.buckets()[LogHistogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        crate::bump(
+            self.shared,
+            &slot.buckets()[LogHistogram::bucket_index(value)],
+            1,
+        );
         slot.extend_range(value);
     }
 
@@ -267,18 +291,9 @@ impl Recorder {
     pub fn record_with_exemplar(&self, id: HistogramId, value: u64, trace_id: u64) {
         let slot = &self.hist_slots[id.0 as usize];
         let bucket = LogHistogram::bucket_index(value);
-        slot.buckets()[bucket].fetch_add(1, Ordering::Relaxed);
+        crate::bump(self.shared, &slot.buckets()[bucket], 1);
         slot.extend_range(value);
         slot.offer_exemplar(bucket, value, trace_id);
-    }
-
-    /// Draws the next operation ordinal — the deterministic id linking a
-    /// histogram exemplar to the lookup trace with the same
-    /// [`LookupTrace::ordinal`]. Drawn unconditionally (one relaxed
-    /// `fetch_add`) so ordinals agree between traced and untraced runs.
-    #[inline]
-    pub fn next_op_ordinal(&self) -> u64 {
-        self.op_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The deterministic span profiler (per-phase simulated cost
@@ -669,6 +684,30 @@ mod tests {
         let h = r.histogram("h");
         r.record(h, 1);
         assert!(r.bytes() > before + 7000, "bucket allocation must show up");
+    }
+
+    #[test]
+    fn a_single_writer_recorder_counts_like_a_shared_one() {
+        let run = |r: Recorder| {
+            let (c, h) = (r.counter("c"), r.histogram("h"));
+            let span = r.profiler().span("s");
+            for i in 0..1000u64 {
+                r.add(c, i % 7);
+                r.incr(c);
+                r.record(h, i % 300);
+                r.record_with_exemplar(h, i * 3, i);
+                r.profiler().add(span, i % 5);
+            }
+            let hist = r.histogram_snapshot(h);
+            (
+                r.snapshot(),
+                hist.count(),
+                hist.p99(),
+                hist.exemplars().to_vec(),
+                r.profiler().totals(),
+            )
+        };
+        assert_eq!(run(Recorder::single_writer()), run(Recorder::new()));
     }
 
     #[test]

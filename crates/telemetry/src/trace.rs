@@ -81,7 +81,8 @@ pub struct LookupTrace {
     pub messages: u64,
     /// Total sequential latency in ticks.
     pub latency: u64,
-    /// Run-wide operation ordinal (from `Recorder::next_op_ordinal`).
+    /// Run-wide operation ordinal, drawn by the lookup's driver (chord's
+    /// `ChordNetwork::next_op_ordinal`).
     /// This is the id histogram exemplars store, so a tail bucket can be
     /// joined back to its trace even after ring eviction; it is drawn
     /// whether or not tracing is enabled, so ids agree across traced and
